@@ -28,7 +28,7 @@ from repro.dataflow.reaching import reaching_analysis
 from repro.dataflow.report import (CoherenceProblem, TransferVerdict,
                                    XferAnalysis, analyze_compiled,
                                    plan_elisions)
-from repro.dataflow.suite import XferRecord, xfer_port, xfer_suite
+from repro.dataflow.suite import XFER, XferRecord, xfer_port
 
 __all__ = [
     "Event", "XferNode", "XferCfg", "build_xfer_cfg",
@@ -37,5 +37,5 @@ __all__ = [
     "reaching_analysis", "live_device_analysis", "live_host_analysis",
     "TransferVerdict", "CoherenceProblem", "XferAnalysis",
     "analyze_compiled", "plan_elisions",
-    "XferRecord", "xfer_port", "xfer_suite",
+    "XFER", "XferRecord", "xfer_port",
 ]

@@ -1,8 +1,9 @@
 """Run the transfer analyses over benchmark ports — the batch entry points.
 
 :func:`xfer_port` analyzes one (benchmark, model, variant) triple
-against its concrete workload schedule; :func:`xfer_suite` sweeps the
-paper's 13 benchmarks × the directive models, producing the records the
+against its concrete workload schedule; :data:`XFER` is the
+:class:`~repro.analysis.Analysis` spec that sweeps the paper's 13
+benchmarks × all six models, producing the records the
 ``repro-harness xfer`` rollup (:mod:`repro.metrics.xferstats`)
 aggregates alongside Table II.
 
@@ -13,17 +14,15 @@ so a ``xfer --all`` sweep after a lint sweep compiles nothing new.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.analysis import Analysis, Row
+from repro.benchmarks.base import ALL_MODELS
 from repro.dataflow.report import XferAnalysis, analyze_compiled
-from repro.models import DIRECTIVE_MODELS, resolve_model
 from repro.models.cache import compile_port
-from repro.obs import metrics
-from repro.obs import tracer as obs
 
-__all__ = ["XferRecord", "xfer_port", "xfer_suite"]
+__all__ = ["XFER", "XferRecord", "xfer_port"]
 
 
 @dataclass(frozen=True)
@@ -69,44 +68,52 @@ def xfer_port(benchmark: str, model: str, variant: Optional[str] = None,
     bench = get_benchmark(benchmark)
     wl = bench.workload(scale=scale)
     schedule = bench.schedule_for(model, chosen, wl)
-    t0 = time.perf_counter()
-    with obs.span("analysis.xfer", "analysis", kind="xfer",
-                  benchmark=benchmark, model=compiled.model):
-        analysis = analyze_compiled(
-            compiled, schedule=schedule, outputs=bench.output_arrays(),
-            nbytes=_array_nbytes(compiled, wl))
-    metrics.inc("analysis_runs", labels={"kind": "xfer"},
-                help="analysis passes executed", deterministic=True)
-    metrics.observe("analysis_seconds", time.perf_counter() - t0,
-                    labels={"kind": "xfer"},
-                    help="wall-clock per analysis run")
+    analysis = analyze_compiled(
+        compiled, schedule=schedule, outputs=bench.output_arrays(),
+        nbytes=_array_nbytes(compiled, wl))
     return XferRecord(benchmark=bench.name, model=compiled.model,
                       variant=chosen, scale=scale, analysis=analysis)
 
 
-def xfer_suite(models: Sequence[str] = DIRECTIVE_MODELS,
-               benchmarks: Optional[Sequence[str]] = None,
-               scale: str = "test",
-               jobs: int = 1) -> list[XferRecord]:
-    """Analyze every benchmark × model pair, in table order.
+def _render_port(rec: XferRecord) -> str:
+    analysis = rec.analysis
+    header = (f"{rec.benchmark} / {rec.model} ({rec.variant}) — "
+              f"{analysis.node_count} CFG nodes, "
+              f"{analysis.iterations} solver iterations")
+    lines = [header, "-" * len(header)]
+    for v in analysis.verdicts:
+        trips = f" x{v.trips}" if v.trips > 1 else ""
+        lines.append(f"{v.verdict:<10} {v.direction} {v.array!r} "
+                     f"@ {v.node}{trips} [{v.origin}]")
+        lines.append(f"           {v.witness}")
+    lines.extend(f"{p.rule} [{p.severity}] {p.message}"
+                 for p in analysis.problems)
+    lines.append(f"bytes moved: {analysis.bytes_total()}  "
+                 f"statically elidable: {analysis.bytes_elidable()}")
+    return "\n".join(lines)
 
-    ``jobs>1`` shards the pair list across worker processes
-    (:mod:`repro.harness.parallel`); the records come back merged in
-    the same table order the serial path produces.
-    """
-    from repro.benchmarks import BENCHMARK_ORDER
 
-    bench_list = list(benchmarks) if benchmarks is not None \
-        else list(BENCHMARK_ORDER)
-    model_list = [resolve_model(m) for m in models]
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, pair_units,
-                                            run_sweep)
-        units = pair_units("xfer", [(b, m) for b in bench_list
-                                    for m in model_list])
-        sweep = run_sweep(units, jobs=jobs,
-                          context=SweepContext(scale=scale, trace=False))
-        return sweep.results()
-    return [xfer_port(bench_name, model, scale=scale)
-            for bench_name in bench_list
-            for model in model_list]
+def _rollup(records: Sequence[XferRecord]) -> str:
+    from repro.metrics.xferstats import render_xfer_rollup, xfer_rollup
+    return render_xfer_rollup(xfer_rollup(records))
+
+
+def _rows(rec: XferRecord, problems) -> list[Row]:
+    return [(f"{rec.benchmark}/{rec.model}", p.rule, p.severity, p.message)
+            for p in problems]
+
+
+XFER = Analysis(
+    name="xfer",
+    help="whole-program transfer coherence analysis: a verdict per "
+         "transfer for one port, or the per-model rollup with --all",
+    targets=ALL_MODELS,
+    port=xfer_port,
+    scaled=True,
+    rollup=_rollup,
+    render_port=_render_port,
+    findings=lambda rec: _rows(rec, rec.analysis.problems),
+    # a COH error means the port's transfer discipline itself is
+    # unsound — stale reads the state machine proves possible
+    unsound=lambda rec: _rows(rec, rec.analysis.coh_errors),
+)

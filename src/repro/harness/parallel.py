@@ -69,9 +69,12 @@ class SweepError(RuntimeError):
 class WorkUnit:
     """One shard of a sweep: everything owed for a (bench, model) pair.
 
-    ``flags`` select what an ``eval`` unit computes ("coverage",
-    "speedups", "profile"); ``seq`` is the unit's position in the
-    registry-order build sequence and is the merge sort key.
+    ``kind`` names a unit runner below or an analysis
+    (:func:`repro.analysis.analyses`).  ``flags`` select what an
+    ``eval`` unit computes ("coverage", "speedups", "profile"), or carry
+    an analysis unit's target arguments after ``model``; ``seq`` is the
+    unit's position in the registry-order build sequence and is the
+    merge sort key.
     """
 
     kind: str
@@ -140,7 +143,8 @@ class UnitOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Unit runners (one per kind; all lazily import their layer)
+# Unit runners (one per kind; all lazily import their layer).  Analysis
+# units need none: every analysis spec runs its own ports.
 # ---------------------------------------------------------------------------
 
 UNIT_RUNNERS: dict[str, Callable[[WorkUnit, SweepContext], Any]] = {}
@@ -200,52 +204,6 @@ def _run_eval_unit(unit: WorkUnit, ctx: SweepContext) -> EvalUnitResult:
     return out
 
 
-@_unit_runner("lint")
-def _run_lint_unit(unit: WorkUnit, ctx: SweepContext):
-    from repro.lint.engine import run_lint
-    from repro.lint.suite import SuiteRecord
-    from repro.models.cache import compile_port
-
-    port, compiled, chosen = compile_port(unit.bench, unit.model,
-                                          unit.variant or None)
-    report = run_lint(port.program, compiled, device=ctx.device)
-    return SuiteRecord(benchmark=unit.bench, model=unit.model,
-                       variant=chosen, regions=compiled.regions_total,
-                       report=report)
-
-
-@_unit_runner("xfer")
-def _run_xfer_unit(unit: WorkUnit, ctx: SweepContext):
-    from repro.dataflow.suite import xfer_port
-
-    return xfer_port(unit.bench, unit.model, unit.variant or None,
-                     scale=ctx.scale)
-
-
-@_unit_runner("locality")
-def _run_locality_unit(unit: WorkUnit, ctx: SweepContext):
-    from repro.gpusim.locality import locality_port
-
-    return locality_port(unit.bench, unit.model, unit.variant or None,
-                         scale=ctx.scale)
-
-
-@_unit_runner("tv")
-def _run_tv_unit(unit: WorkUnit, ctx: SweepContext):
-    from repro.tv import validate_port
-
-    return validate_port(unit.bench, unit.model, unit.variant or None)
-
-
-@_unit_runner("translate")
-def _run_translate_unit(unit: WorkUnit, ctx: SweepContext):
-    # translate units encode the (source, target) pair as (model,
-    # variant) — a unit owns one benchmark × one translation direction
-    from repro.translate import translate_pair
-
-    return translate_pair(unit.bench, unit.model, unit.variant)
-
-
 @_unit_runner("baseline")
 def _run_baseline_unit(unit: WorkUnit, ctx: SweepContext):
     from repro.obs.baseline import _entry_from_profile
@@ -277,16 +235,28 @@ def _run_exec_unit(unit: WorkUnit, ctx: SweepContext) -> dict:
             "speedup": round(outcome.speedup.speedup, 4)}
 
 
+def _runner(kind: str) -> Callable[[WorkUnit, SweepContext], Any]:
+    from repro.analysis import analyses
+
+    spec = analyses().get(kind)
+    if spec is not None:
+        # one port; ``flags`` carry the target arguments after ``model``
+        return lambda unit, ctx: spec.run(
+            unit.bench, unit.model, *unit.flags,
+            variant=unit.variant or None, scale=ctx.scale)
+    if kind not in UNIT_RUNNERS:
+        raise SweepError(f"unknown work-unit kind {kind!r}; known: "
+                         f"{sorted([*UNIT_RUNNERS, *analyses()])}")
+    return UNIT_RUNNERS[kind]
+
+
 def execute_unit(unit: WorkUnit, ctx: SweepContext) -> UnitEnvelope:
     """Run one unit with store accounting and (optional) span capture."""
     from contextlib import nullcontext
 
     from repro.gpusim.jit import jit_mode
 
-    runner = UNIT_RUNNERS.get(unit.kind)
-    if runner is None:
-        raise SweepError(f"unknown work-unit kind {unit.kind!r}; "
-                         f"known: {sorted(UNIT_RUNNERS)}")
+    runner = _runner(unit.kind)
     engine = jit_mode(ctx.jit) if ctx.jit is not None else nullcontext()
     with engine:
         return _execute_unit_inner(unit, runner, ctx)

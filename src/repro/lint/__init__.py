@@ -23,13 +23,14 @@ from repro.lint.engine import (CHECKERS, RULES, Checker, LintContext, Rule,
                                checker, declare, run_lint)
 from repro.lint.findings import Finding, LintReport, Severity
 from repro.lint.sarif import report_to_sarif
-from repro.lint.suite import (LINT_MODELS, SuiteRecord, clear_compile_cache,
-                              compile_port, lint_port, lint_suite)
+from repro.lint.suite import (LINT, LINT_MODELS, SuiteRecord,
+                              clear_compile_cache, compile_port, lint_port,
+                              lint_record)
 
 __all__ = [
     "Severity", "Finding", "LintReport",
     "Rule", "Checker", "RULES", "CHECKERS", "declare", "checker",
     "LintContext", "run_lint", "report_to_sarif",
-    "LINT_MODELS", "SuiteRecord", "lint_port", "lint_suite",
+    "LINT", "LINT_MODELS", "SuiteRecord", "lint_port", "lint_record",
     "compile_port", "clear_compile_cache",
 ]

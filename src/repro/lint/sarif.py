@@ -1,6 +1,6 @@
 """SARIF 2.1.0 serialization of lint reports.
 
-``repro-harness lint --sarif`` emits one SARIF log per run so findings
+``repro-harness lint --format sarif`` emits one SARIF log per run so findings
 can be uploaded to GitHub code scanning (or any SARIF consumer).  Rule
 metadata comes from the verifier's catalog (:data:`repro.lint.engine.
 RULES`); ``COV-*`` rules are synthesized on the fly since their IDs are

@@ -1,20 +1,20 @@
-"""Evaluation metrics: coverage, code-size increase, speedups."""
+"""Evaluation metrics: coverage, code-size increase, speedups.
+
+The static analyses' rollups (``lintstats``, ``tvstats``, ``xferstats``,
+``cachestats``, ``translatestats``) are imported from their modules:
+they read analysis records, and the benchmarks import this package.
+"""
 
 from repro.metrics.codesize import (CodeSizeEntry, CodeSizeReport,
                                     codesize_for)
 from repro.metrics.coverage import CoverageReport, coverage_for
-from repro.metrics.lintstats import (LintDensityRow, lint_density,
-                                     render_lint_density)
 from repro.metrics.profstats import (ProfStatsRow, profile_stats,
                                      render_profile_stats)
 from repro.metrics.speedup import BenchmarkSpeedups, SpeedupResult
-from repro.metrics.tvstats import TvMatrixRow, render_tv_matrix, tv_matrix
 
 __all__ = [
     "CoverageReport", "coverage_for",
     "CodeSizeEntry", "CodeSizeReport", "codesize_for",
     "SpeedupResult", "BenchmarkSpeedups",
-    "LintDensityRow", "lint_density", "render_lint_density",
-    "TvMatrixRow", "tv_matrix", "render_tv_matrix",
     "ProfStatsRow", "profile_stats", "render_profile_stats",
 ]

@@ -7,8 +7,12 @@ data-dependent subscripts), the suite-mean simulated L1/L2 miss
 ratios, the MAP-style locality degrees (spatial/temporal), the
 short-reuse-interval fraction, and — the cross-validation column —
 the worst absolute deviation between the static analyzer's predicted
-L1 miss ratio and the replayed one over the gated kernels (exact on
-both sides, at least :data:`MIN_GATED_ACCESSES` simulated accesses).
+L1 miss ratio and the replayed one over the gated kernels
+(:attr:`~repro.gpusim.locality.KernelLocality.gated`: exact on both
+sides, at least
+:data:`~repro.gpusim.locality.MIN_GATED_ACCESSES` simulated accesses —
+the kernels ``tests/test_reuse_static.py`` and ``locality --fail-on``
+hold to the agreement tolerance).
 Means are weighted by simulated accesses so tiny cleanup kernels do
 not drown the launches that move the data.
 """
@@ -19,12 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.gpusim.locality import LocalityRecord
-
-#: a kernel enters the static-vs-simulated agreement gate only when its
-#: replay saw at least this many L1 accesses — below that, one or two
-#: cold lines swing the ratio by tens of points and the comparison is
-#: noise, not signal (mirrors ``tests/test_locality_agreement.py``)
-MIN_GATED_ACCESSES = 64
+from repro.metrics.table import group_by, render_table
 
 
 @dataclass(frozen=True)
@@ -46,16 +45,8 @@ class CacheRollupRow:
 
 def cache_rollup(records: Sequence[LocalityRecord]) -> list[CacheRollupRow]:
     """Aggregate suite records into one row per model, in input order."""
-    order: list[str] = []
-    buckets: dict[str, list[LocalityRecord]] = {}
-    for rec in records:
-        if rec.model not in buckets:
-            order.append(rec.model)
-            buckets[rec.model] = []
-        buckets[rec.model].append(rec)
     rows = []
-    for model in order:
-        recs = buckets[model]
+    for model, recs in group_by(records, lambda rec: rec.model):
         kernels = exact = gated = 0
         weight = 0.0
         l1 = l2 = spatial = temporal = short_mri = 0.0
@@ -73,11 +64,9 @@ def cache_rollup(records: Sequence[LocalityRecord]) -> list[CacheRollupRow]:
                 spatial += w * sim.spatial_locality
                 temporal += w * sim.temporal_locality
                 short_mri += w * sim.short_mri_fraction
-                if (sim.exact and kl.static.exact
-                        and sim.l1.accesses >= MIN_GATED_ACCESSES):
+                if kl.gated:
                     gated += 1
-                    dev = abs(kl.static.l1_miss_ratio - sim.l1.miss_ratio)
-                    worst_dev = max(worst_dev, dev)
+                    worst_dev = max(worst_dev, kl.deviation()[0])
         scale = 1.0 / weight if weight else 0.0
         rows.append(CacheRollupRow(
             model=model, ports=len(recs), kernels=kernels,
@@ -101,14 +90,4 @@ def render_cache_rollup(rows: Sequence[CacheRollupRow]) -> str:
              f"{row.short_mri_fraction:.3f}", str(row.gated_kernels),
              f"{row.worst_static_dev:.3f}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
-
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
-
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
-    return "\n".join(lines)
+    return render_table(headers, body)

@@ -12,10 +12,13 @@ Table II's coverage counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.lint.findings import Severity
-from repro.lint.suite import SuiteRecord
+from repro.metrics.table import group_by, render_table
+
+if TYPE_CHECKING:
+    from repro.lint.suite import SuiteRecord
 
 #: rule-ID prefixes grouped into the table's family columns
 FAMILIES = ("RACE", "DATA", "XFER", "COH", "PERF", "BNDS", "TV", "COV")
@@ -45,16 +48,8 @@ class LintDensityRow:
 
 def lint_density(records: Sequence[SuiteRecord]) -> list[LintDensityRow]:
     """Aggregate suite records into one row per model, in input order."""
-    order: list[str] = []
-    buckets: dict[str, list[SuiteRecord]] = {}
-    for rec in records:
-        if rec.model not in buckets:
-            order.append(rec.model)
-            buckets[rec.model] = []
-        buckets[rec.model].append(rec)
     rows = []
-    for model in order:
-        recs = buckets[model]
+    for model, recs in group_by(records, lambda rec: rec.model):
         sev = {Severity.ERROR: 0, Severity.WARNING: 0, Severity.INFO: 0}
         fam = {name: 0 for name in FAMILIES}
         for rec in recs:
@@ -80,12 +75,4 @@ def render_lint_density(rows: Sequence[LintDensityRow]) -> str:
              *(str(row.by_family[f]) for f in FAMILIES),
              f"{row.density:.2f}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
-    return "\n".join(lines)
+    return render_table(headers, body)

@@ -15,10 +15,13 @@ rather than merely compiled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.translate.suite import TranslationRecord
+from repro.metrics.table import group_by, render_table
 from repro.tv.certify import CertStatus
+
+if TYPE_CHECKING:
+    from repro.translate.suite import TranslationRecord
 
 
 @dataclass(frozen=True)
@@ -46,28 +49,18 @@ class TranslateMatrixRow:
 def translate_matrix(records: Sequence[TranslationRecord],
                      ) -> list[TranslateMatrixRow]:
     """Aggregate suite records into one row per pair, first-seen order."""
-    order: list[tuple[str, str]] = []
-    buckets: dict[tuple[str, str], list[TranslationRecord]] = {}
-    for rec in records:
-        key = (rec.src, rec.dst)
-        if key not in buckets:
-            order.append(key)
-            buckets[key] = []
-        buckets[key].append(rec)
-    rows = []
-    for src, dst in order:
-        recs = buckets[(src, dst)]
-        rows.append(TranslateMatrixRow(
-            src=src, dst=dst, ports=len(recs),
-            regions=sum(r.regions_total for r in recs),
-            src_ok=sum(r.src_translated for r in recs),
-            via=sum(r.via_translated for r in recs),
-            native=sum(r.native_translated for r in recs),
-            dropped=sum(r.dropped for r in recs),
-            proved=sum(r.count(CertStatus.PROVED) for r in recs),
-            refuted=sum(r.count(CertStatus.REFUTED) for r in recs),
-            unknown=sum(r.count(CertStatus.UNKNOWN) for r in recs)))
-    return rows
+    return [TranslateMatrixRow(
+        src=src, dst=dst, ports=len(recs),
+        regions=sum(r.regions_total for r in recs),
+        src_ok=sum(r.src_translated for r in recs),
+        via=sum(r.via_translated for r in recs),
+        native=sum(r.native_translated for r in recs),
+        dropped=sum(r.dropped for r in recs),
+        proved=sum(r.count(CertStatus.PROVED) for r in recs),
+        refuted=sum(r.count(CertStatus.REFUTED) for r in recs),
+        unknown=sum(r.count(CertStatus.UNKNOWN) for r in recs))
+        for (src, dst), recs in group_by(records,
+                                         lambda rec: (rec.src, rec.dst))]
 
 
 def render_translate_matrix(rows: Sequence[TranslateMatrixRow]) -> str:
@@ -79,14 +72,4 @@ def render_translate_matrix(rows: Sequence[TranslateMatrixRow]) -> str:
              str(row.dropped), str(row.proved), str(row.refuted),
              str(row.unknown), f"{row.via_share:.0%}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
-
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
-
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
-    return "\n".join(lines)
+    return render_table(headers, body)

@@ -12,10 +12,13 @@ naturally next to the coverage counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from repro.metrics.table import group_by, render_table
 from repro.tv.certify import CertStatus
-from repro.tv.suite import TvRecord
+
+if TYPE_CHECKING:
+    from repro.tv.suite import TvRecord
 
 
 @dataclass(frozen=True)
@@ -42,23 +45,13 @@ class TvMatrixRow:
 
 def tv_matrix(records: Sequence[TvRecord]) -> list[TvMatrixRow]:
     """Aggregate suite certificates into one row per model."""
-    order: list[str] = []
-    buckets: dict[str, list[TvRecord]] = {}
-    for rec in records:
-        if rec.model not in buckets:
-            order.append(rec.model)
-            buckets[rec.model] = []
-        buckets[rec.model].append(rec)
-    rows = []
-    for model in order:
-        recs = buckets[model]
-        rows.append(TvMatrixRow(
-            model=model, ports=len(recs),
-            proved=sum(r.count(CertStatus.PROVED) for r in recs),
-            refuted=sum(r.count(CertStatus.REFUTED) for r in recs),
-            unknown=sum(r.count(CertStatus.UNKNOWN) for r in recs),
-            skipped=sum(r.count(CertStatus.SKIPPED) for r in recs)))
-    return rows
+    return [TvMatrixRow(
+        model=model, ports=len(recs),
+        proved=sum(r.count(CertStatus.PROVED) for r in recs),
+        refuted=sum(r.count(CertStatus.REFUTED) for r in recs),
+        unknown=sum(r.count(CertStatus.UNKNOWN) for r in recs),
+        skipped=sum(r.count(CertStatus.SKIPPED) for r in recs))
+        for model, recs in group_by(records, lambda rec: rec.model)]
 
 
 def render_tv_matrix(rows: Sequence[TvMatrixRow]) -> str:
@@ -69,14 +62,4 @@ def render_tv_matrix(rows: Sequence[TvMatrixRow]) -> str:
              str(row.unknown), str(row.skipped),
              f"{row.proved_share:.0%}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
-
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
-
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
-    return "\n".join(lines)
+    return render_table(headers, body)

@@ -14,10 +14,13 @@ model's conservative transfer placement leaves on the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.dataflow.report import DEAD, DEFERRABLE, REDUNDANT, REQUIRED
-from repro.dataflow.suite import XferRecord
+from repro.metrics.table import group_by, render_table
+
+if TYPE_CHECKING:
+    from repro.dataflow.suite import XferRecord
 
 #: verdict columns, in report order
 VERDICTS = (REQUIRED, REDUNDANT, DEAD, DEFERRABLE)
@@ -45,16 +48,8 @@ class XferRollupRow:
 
 def xfer_rollup(records: Sequence[XferRecord]) -> list[XferRollupRow]:
     """Aggregate suite records into one row per model, in input order."""
-    order: list[str] = []
-    buckets: dict[str, list[XferRecord]] = {}
-    for rec in records:
-        if rec.model not in buckets:
-            order.append(rec.model)
-            buckets[rec.model] = []
-        buckets[rec.model].append(rec)
     rows = []
-    for model in order:
-        recs = buckets[model]
+    for model, recs in group_by(records, lambda rec: rec.model):
         verdicts = {name: 0 for name in VERDICTS}
         errors = warnings = 0
         bytes_total = bytes_elidable = 0
@@ -90,14 +85,4 @@ def render_xfer_rollup(rows: Sequence[XferRollupRow]) -> str:
              _mib(row.bytes_total), _mib(row.bytes_elidable),
              f"{100 * row.elidable_fraction:.1f}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
-
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
-
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
-    return "\n".join(lines)
+    return render_table(headers, body)

@@ -11,11 +11,11 @@ original source program.
 
 from repro.translate.rewrite import (MotionWitness, motion_certificates,
                                      translate_port)
-from repro.translate.suite import (TRANSLATION_PAIRS, TranslationRecord,
-                                   translate_pair, translate_suite)
+from repro.translate.suite import (TRANSLATE, TRANSLATION_PAIRS,
+                                   TranslationRecord, translate_pair)
 
 __all__ = [
     "MotionWitness", "motion_certificates", "translate_port",
-    "TRANSLATION_PAIRS", "TranslationRecord", "translate_pair",
-    "translate_suite",
+    "TRANSLATE", "TRANSLATION_PAIRS", "TranslationRecord",
+    "translate_pair",
 ]

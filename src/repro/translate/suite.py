@@ -19,7 +19,8 @@ certified region-by-region against the *source* program by the
 translation-validation layer (:mod:`repro.tv`), plus the data-motion
 soundness check (:func:`repro.translate.rewrite.motion_certificates`).
 A REFUTED certificate anywhere fails the suite — the CI gate ships
-zero refuted translations.
+zero refuted translations.  :data:`TRANSLATE` is the
+:class:`~repro.analysis.Analysis` spec that sweeps the pairs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.analysis import Analysis, Row
 from repro.tv.certify import Certificate, CertStatus
 from repro.translate.rewrite import motion_certificates, translate_port
 
@@ -115,32 +117,32 @@ def translate_pair(benchmark: str, src: str, dst: str,
         certificates=certs)
 
 
-def translate_suite(pairs: Optional[Sequence[tuple[str, str]]] = None,
-                    benchmarks: Optional[Sequence[str]] = None,
-                    jobs: int = 1) -> list[TranslationRecord]:
-    """Translate every benchmark across every pair, pair-major order.
+def _rollup(records: Sequence[TranslationRecord]) -> str:
+    from repro.metrics.translatestats import (render_translate_matrix,
+                                              translate_matrix)
+    return render_translate_matrix(translate_matrix(records))
 
-    ``jobs>1`` shards the (benchmark, pair) triples across worker
-    processes (:mod:`repro.harness.parallel`) and merges the records
-    back in the same pair-major order the serial path produces — the
-    rollup is byte-identical for any worker count.
-    """
-    from repro.benchmarks import BENCHMARK_ORDER
-    from repro.models import resolve_model
 
-    pair_list = [(resolve_model(s), resolve_model(d))
-                 for s, d in (pairs if pairs is not None
-                              else TRANSLATION_PAIRS)]
-    bench_list = list(benchmarks) if benchmarks is not None \
-        else list(BENCHMARK_ORDER)
-    work = [(b, s, d) for s, d in pair_list for b in bench_list]
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, WorkUnit,
-                                            run_sweep)
-        units = [WorkUnit(kind="translate", bench=b, model=s, variant=d,
-                          seq=seq)
-                 for seq, (b, s, d) in enumerate(work)]
-        sweep = run_sweep(units, jobs=jobs,
-                          context=SweepContext(trace=False))
-        return sweep.results()
-    return [translate_pair(b, s, d) for b, s, d in work]
+def _findings(rec: TranslationRecord) -> list[Row]:
+    where = f"{rec.benchmark}/{rec.src}->{rec.dst}"
+    return ([(where, "XLAT-DROP", "warning", note)
+             for note in rec.notes if "dropped" in note]
+            + [(f"{where}:{c.region}", "XLAT-UNKNOWN", "warning", c.detail)
+               for c in rec.certificates if c.status is CertStatus.UNKNOWN])
+
+
+TRANSLATE = Analysis(
+    name="translate",
+    help="cross-model directive translation through the neutral IR, "
+         "tv-certified against the source",
+    targets=TRANSLATION_PAIRS,
+    target_args=("src", "dst"),
+    port=translate_pair,
+    rollup=_rollup,
+    render_port=lambda rec: _rollup([rec]),
+    findings=_findings,
+    unsound=lambda rec: [
+        (f"{rec.benchmark}/{rec.src}->{rec.dst}:{c.region}",
+         "XLAT-REFUTED", "error", c.detail)
+        for c in rec.certificates if c.status is CertStatus.REFUTED],
+)

@@ -9,7 +9,7 @@ See :mod:`repro.tv.certify` for the verdict semantics.
 from repro.tv.certify import (Certificate, CertStatus, validate_compiled,
                               validate_region)
 from repro.tv.normalize import normalize, rename_expr
-from repro.tv.suite import TvRecord, validate_port, validate_suite
+from repro.tv.suite import TV, TvRecord, validate_port
 from repro.tv.summary import (CanonFact, LoopDom, RegionSummary, StoreFact,
                               canonicalize, summarize_stores)
 from repro.tv.witness import Witness, find_divergence, oracle, scalar_bindings
@@ -17,7 +17,7 @@ from repro.tv.witness import Witness, find_divergence, oracle, scalar_bindings
 __all__ = [
     "Certificate", "CertStatus", "validate_compiled", "validate_region",
     "normalize", "rename_expr",
-    "TvRecord", "validate_port", "validate_suite",
+    "TV", "TvRecord", "validate_port",
     "CanonFact", "LoopDom", "RegionSummary", "StoreFact",
     "canonicalize", "summarize_stores",
     "Witness", "find_divergence", "oracle", "scalar_bindings",

@@ -1,26 +1,21 @@
 """Translation validation over the whole benchmark suite.
 
 :func:`validate_port` certifies every region of one (benchmark, model,
-variant) port; :func:`validate_suite` sweeps 13 benchmarks × all six
-models (the five directive models plus the hand-written CUDA baseline),
-reusing the memoized compilations from :mod:`repro.lint.suite`.
+variant) port; :data:`TV` is the :class:`~repro.analysis.Analysis` spec
+that sweeps 13 benchmarks × all six models (the five directive models
+plus the hand-written CUDA baseline), reusing the memoized compilations
+of :func:`repro.models.cache.compile_port`.
 """
 
 from __future__ import annotations
 
-import time
+import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.obs import metrics
-from repro.obs import tracer as obs
+from repro.analysis import Analysis, Row
+from repro.benchmarks.base import ALL_MODELS
 from repro.tv.certify import Certificate, CertStatus, validate_compiled
-
-def _models() -> tuple[str, ...]:
-    # the hand-written baseline is certified too — its "lowering" is the
-    # manually restructured CUDA, the hardest case for the validator
-    from repro.models import DIRECTIVE_MODELS
-    return tuple(DIRECTIVE_MODELS) + ("Hand-Written CUDA",)
 
 
 @dataclass
@@ -35,6 +30,11 @@ class TvRecord:
     def count(self, status: CertStatus) -> int:
         return sum(1 for c in self.certificates if c.status is status)
 
+    def to_dict(self) -> dict:
+        return {"benchmark": self.benchmark, "model": self.model,
+                "variant": self.variant,
+                "certificates": [c.to_dict() for c in self.certificates]}
+
 
 def validate_port(benchmark: str, model: str,
                   variant: Optional[str] = None,
@@ -46,50 +46,50 @@ def validate_port(benchmark: str, model: str,
     set (and its PROVED count) must match the default compile exactly.
     """
     from repro.benchmarks import get_benchmark
-    from repro.lint.suite import compile_port
+    from repro.models.cache import compile_port
 
     port, compiled, chosen = compile_port(benchmark, model, variant,
                                           elide=elide)
-    t0 = time.perf_counter()
-    with obs.span("analysis.tv", "analysis", kind="tv",
-                  benchmark=benchmark, model=compiled.model):
-        certs = validate_compiled(port.program, compiled)
-    metrics.inc("analysis_runs", labels={"kind": "tv"},
-                help="analysis passes executed", deterministic=True)
-    metrics.observe("analysis_seconds", time.perf_counter() - t0,
-                    labels={"kind": "tv"},
-                    help="wall-clock per analysis run")
     return TvRecord(benchmark=get_benchmark(benchmark).name,
                     model=compiled.model, variant=chosen,
-                    certificates=certs)
+                    certificates=validate_compiled(port.program, compiled))
 
 
-def validate_suite(models: Optional[Sequence[str]] = None,
-                   benchmarks: Optional[Sequence[str]] = None,
-                   jobs: int = 1) -> list[TvRecord]:
-    """Certificates for every available benchmark × model pair.
+def _rows(rec: TvRecord, status: CertStatus, rule: str,
+          severity: str) -> list[Row]:
+    return [(f"{rec.benchmark}/{rec.model}:{c.region}", rule, severity,
+             c.detail)
+            for c in rec.certificates if c.status is status]
 
-    ``jobs>1`` shards the pairs across worker processes
-    (:mod:`repro.harness.parallel`) and merges the records back in
-    suite order.
-    """
-    from repro.benchmarks import BENCHMARK_ORDER, get_benchmark
-    from repro.models import resolve_model
 
-    pairs: list[tuple[str, str]] = []
-    for bench_name in benchmarks if benchmarks is not None \
-            else BENCHMARK_ORDER:
-        bench = get_benchmark(bench_name)
-        for model in models if models is not None else _models():
-            model = resolve_model(model)
-            if not bench.variants(model):
-                continue
-            pairs.append((bench_name, model))
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, pair_units,
-                                            run_sweep)
-        sweep = run_sweep(pair_units("tv", pairs), jobs=jobs,
-                          context=SweepContext(trace=False))
-        return sweep.results()
-    return [validate_port(bench_name, model)
-            for bench_name, model in pairs]
+def _render_port(rec: TvRecord) -> str:
+    header = f"{rec.benchmark} / {rec.model} ({rec.variant})"
+    lines = [header, "-" * len(header)]
+    for c in rec.certificates:
+        lines.append(f"{c.status.value:8s} {c.region}: {c.detail}")
+        if c.blocking:
+            lines.append(f"         blocked by: {c.blocking}")
+    return "\n".join(lines)
+
+
+def _rollup(records: Sequence[TvRecord]) -> str:
+    from repro.metrics.tvstats import render_tv_matrix, tv_matrix
+    return render_tv_matrix(tv_matrix(records))
+
+
+# the hand-written baseline is certified too — its "lowering" is the
+# manually restructured CUDA, the hardest case for the validator
+TV = Analysis(
+    name="tv",
+    help="translation validator: equivalence certificates for every "
+         "lowered region",
+    targets=ALL_MODELS,
+    port=validate_port,
+    rollup=_rollup,
+    render_port=_render_port,
+    findings=lambda rec: _rows(rec, CertStatus.UNKNOWN, "TV-UNKNOWN",
+                               "warning"),
+    unsound=lambda rec: _rows(rec, CertStatus.REFUTED, "TV-REFUTED",
+                              "error"),
+    port_json=lambda rec: json.dumps(rec.to_dict(), indent=2),
+)

@@ -13,7 +13,8 @@ import pytest
 from repro.benchmarks.registry import get_benchmark
 from repro.dataflow.cfg import ALLOC, DTOH, HTOD, build_xfer_cfg
 from repro.dataflow.report import analyze_compiled, plan_elisions
-from repro.dataflow.suite import xfer_port, xfer_suite
+from repro.analysis import run_suite
+from repro.dataflow.suite import XFER, xfer_port
 from repro.ir.analysis.dataflow import (BACKWARD, FORWARD, Analysis, Cfg,
                                         DataflowError, Solution,
                                         intersect_join, may_analysis,
@@ -246,8 +247,8 @@ class TestVerdicts:
 
 class TestXferSuite:
     def test_records_cover_requested_grid(self):
-        records = xfer_suite(models=["OpenACC", "rstream"],
-                             benchmarks=["jacobi", "spmul"])
+        records = run_suite(XFER, ["OpenACC", "rstream"],
+                            ["jacobi", "spmul"])
         assert [(r.benchmark, r.model) for r in records] == [
             ("JACOBI", "OpenACC"), ("JACOBI", "R-Stream"),
             ("SPMUL", "OpenACC"), ("SPMUL", "R-Stream")]
@@ -262,8 +263,7 @@ class TestXferSuite:
     def test_rollup_aggregates_by_model(self):
         from repro.metrics.xferstats import (render_xfer_rollup,
                                              xfer_rollup)
-        records = xfer_suite(models=["rstream"],
-                             benchmarks=["jacobi", "spmul", "cg"])
+        records = run_suite(XFER, ["rstream"], ["jacobi", "spmul", "cg"])
         rows = xfer_rollup(records)
         assert len(rows) == 1 and rows[0].model == "R-Stream"
         assert rows[0].ports == 3

@@ -13,7 +13,8 @@ import json
 import pytest
 
 from repro.harness.cli import main as cli_main
-from repro.lint import Severity, lint_suite
+from repro.analysis import run_suite
+from repro.lint import LINT, Severity
 from repro.metrics.lintstats import lint_density, render_lint_density
 
 SNAPSHOT = {
@@ -175,7 +176,7 @@ SNAPSHOT = {
 
 @pytest.fixture(scope="module")
 def suite_records():
-    return lint_suite()
+    return run_suite(LINT)
 
 
 class TestSuiteSnapshot:

@@ -16,6 +16,7 @@ import os
 
 import pytest
 
+from repro.analysis import analyses, run_suite
 from repro.harness.cli import main
 from repro.harness.parallel import (SweepContext, SweepError, WorkUnit,
                                     evaluation_units, merge_evaluation,
@@ -257,16 +258,16 @@ class TestCli:
         assert main(["all", "--journal", "j.jsonl"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_lint_all_jobs_matches_serial(self, capsys):
-        serial_rc = main(["lint", "--all"])
-        serial = capsys.readouterr().out
-        clear_compile_cache()
-        assert main(["lint", "--all", "--jobs", "2"]) == serial_rc
-        assert capsys.readouterr().out == serial
 
-    def test_tv_all_jobs_matches_serial(self, capsys):
-        serial_rc = main(["tv", "--all"])
-        serial = capsys.readouterr().out
+@pytest.mark.parametrize("name", list(analyses()))
+class TestAnalysisSuites:
+    def test_jobs_records_byte_identical(self, name):
+        """Every analysis suite: the sharded records serialize to the
+        same bytes as the serial ones."""
+        spec = analyses()[name]
+        serial = run_suite(spec, benchmarks=["JACOBI", "EP"])
         clear_compile_cache()
-        assert main(["tv", "--all", "--jobs", "2"]) == serial_rc
-        assert capsys.readouterr().out == serial
+        sharded = run_suite(spec, benchmarks=["JACOBI", "EP"], jobs=2)
+        assert serial
+        assert json.dumps([r.to_dict() for r in sharded], indent=2) == \
+            json.dumps([r.to_dict() for r in serial], indent=2)

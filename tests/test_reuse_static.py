@@ -23,17 +23,14 @@ import pathlib
 
 import pytest
 
-from repro.gpusim.locality import locality_port, locality_suite
+from repro.analysis import run_suite
+from repro.gpusim.locality import LOCALITY, locality_port
 from repro.ir.analysis.reuse import STATIC_AGREEMENT_TOLERANCE
-
-#: agreement-gate floor: below this many simulated L1 accesses one or
-#: two cold lines swing the miss ratio by tens of points
-MIN_GATED_ACCESSES = 64
 
 
 @pytest.fixture(scope="module")
 def suite_records():
-    return locality_suite(jobs=2)
+    return run_suite(LOCALITY, jobs=2)
 
 
 class TestGoldenJacobi:
@@ -114,20 +111,10 @@ class TestAgreementGate:
         failures = []
         for rec in suite_records:
             for kl in rec.kernels:
-                sim, stat = kl.simulated, kl.static
-                if not (sim.exact and stat.exact):
-                    continue
-                if sim.l1.accesses < MIN_GATED_ACCESSES:
+                if not kl.gated:
                     continue
                 checked += 1
-                l1_dev = abs(stat.l1_miss_ratio - sim.l1.miss_ratio)
-                # DRAM traffic ratio: misses out of L2 per L1 access
-                sim_dram = (sim.l2.misses / sim.l1.accesses
-                            if sim.l1.accesses else 0.0)
-                acc = sum(p.accesses for p in stat.arrays.values())
-                stat_dram = (sum(p.l2_misses for p in stat.arrays.values())
-                             / acc if acc else 0.0)
-                dram_dev = abs(stat_dram - sim_dram)
+                l1_dev, dram_dev = kl.deviation()
                 if (l1_dev > STATIC_AGREEMENT_TOLERANCE
                         or dram_dev > STATIC_AGREEMENT_TOLERANCE):
                     failures.append((rec.benchmark, rec.model, kl.kernel,
@@ -148,7 +135,8 @@ class TestDeterminism:
         serial = json.dumps([r.to_dict() for r in suite_records],
                             sort_keys=True)
         sharded = json.dumps(
-            [r.to_dict() for r in locality_suite(jobs=4)], sort_keys=True)
+            [r.to_dict() for r in run_suite(LOCALITY, jobs=4)],
+            sort_keys=True)
         assert serial == sharded
 
 

@@ -19,15 +19,16 @@ from repro.directives import normalize_port
 from repro.harness.cli import main as cli_main
 from repro.models import get_compiler
 from repro.models.cache import compile_port
-from repro.translate import (TRANSLATION_PAIRS, MotionWitness,
+from repro.analysis import run_suite
+from repro.translate import (TRANSLATE, TRANSLATION_PAIRS, MotionWitness,
                              motion_certificates, translate_pair,
-                             translate_port, translate_suite)
+                             translate_port)
 from repro.tv.certify import CertStatus
 
 
 @pytest.fixture(scope="module")
 def suite_records():
-    return translate_suite()
+    return run_suite(TRANSLATE)
 
 
 class TestShippedPairs:
@@ -68,7 +69,8 @@ class TestShippedPairs:
 
     def test_jobs_rollup_byte_identical(self, suite_records):
         serial = json.dumps([r.to_dict() for r in suite_records])
-        sharded = json.dumps([r.to_dict() for r in translate_suite(jobs=4)])
+        sharded = json.dumps([r.to_dict()
+                              for r in run_suite(TRANSLATE, jobs=4)])
         assert serial == sharded
 
 

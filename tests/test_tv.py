@@ -18,8 +18,9 @@ from repro.ir.program import (ArrayDecl, ParallelRegion, Program,
                               ScalarDecl)
 from repro.ir.stmt import Assign
 from repro.lint.suite import compile_port
-from repro.tv import (CertStatus, canonicalize, summarize_stores,
-                      validate_compiled, validate_port, validate_suite)
+from repro.analysis import run_suite
+from repro.tv import (TV, CertStatus, canonicalize, summarize_stores,
+                      validate_compiled, validate_port)
 
 
 def make_program(regions, arrays, name="p"):
@@ -174,7 +175,7 @@ class TestMissingStoreRefuted:
 
 class TestSuiteAcceptance:
     def test_suite_certificates(self):
-        records = validate_suite()
+        records = run_suite(TV)
         assert records, "suite produced no records"
         counts = {s: 0 for s in CertStatus}
         for rec in records:
