@@ -228,14 +228,15 @@ class Backprop(Benchmark):
     def output_arrays(self) -> tuple[str, ...]:
         return ("w1", "w2", "hidden", "out", "errsum")
 
-    def arrays_for(self, model, variant, wl):
-        arrays = wl.copy_arrays()
+    def arrays_for(self, model, variant, wl, copy=True):
+        arrays = super().arrays_for(model, variant, wl, copy)
         transposed = (model != "R-Stream"
                       and (variant == "best"
                            or model == "Hand-Written CUDA"))
         if transposed:
             for name in ("w1", "oldw1", "w2", "oldw2"):
-                arrays[name] = np.ascontiguousarray(arrays[name].T)
+                arrays[name] = (np.ascontiguousarray(arrays[name].T)
+                                if copy else arrays[name].T)
         return arrays
 
     def canonical_output(self, name, array, model, variant, wl):

@@ -26,6 +26,7 @@ from repro.errors import BenchmarkError
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.runtime import CudaRuntime
 from repro.gpusim.timing import TimingConfig
+from repro.ir.analysis.access import PlanCache
 from repro.ir.program import Program
 from repro.metrics.speedup import SpeedupResult
 from repro.models.base import (CompiledProgram, ExecutableProgram, PortSpec,
@@ -170,10 +171,7 @@ class Benchmark(abc.ABC):
         wl = self.workload(scale=scale, seed=seed)
         rt = CudaRuntime(spec=device, timing=timing, execute=execute)
         ex = ExecutableProgram(compiled, runtime=rt, host=host)
-        arrays = self.arrays_for(model, variant, wl)
-        if not execute:
-            # timing-only runs need shapes, not private copies
-            pass
+        arrays = self.arrays_for(model, variant, wl, copy=execute)
         ex.bind_arrays(arrays)
         schedule = self.schedule_for(model, variant, wl)
         for step in schedule:
@@ -213,15 +211,17 @@ class Benchmark(abc.ABC):
                           speedup=result, validated=validated,
                           validation_errors=errors)
 
-    def arrays_for(self, model: str, variant: str,
-                   wl: Workload) -> dict[str, np.ndarray]:
+    def arrays_for(self, model: str, variant: str, wl: Workload,
+                   copy: bool = True) -> dict[str, np.ndarray]:
         """Host arrays in the layout the port's program expects.
 
         Defaults to private copies of the canonical workload arrays;
         ports that re-lay data out (transposed BACKPROP weights) override
-        this and return re-laid copies.
+        this and return re-laid copies.  ``copy=False`` (timing-only
+        runs, which read only shapes) returns the workload's own arrays,
+        re-laid as views.
         """
-        return wl.copy_arrays()
+        return wl.copy_arrays() if copy else dict(wl.arrays)
 
     def schedule_for(self, model: str, variant: str,
                      wl: Workload) -> list[ScheduleStep]:
@@ -250,6 +250,7 @@ class Benchmark(abc.ABC):
         bindings = {k: float(v) for k, v in wl.scalars.items()}
         total = 0.0
         cache: dict[tuple, float] = {}
+        plans = PlanCache("host")
         for step in wl.schedule:
             region = program.region(step.region)
             key = (step.region, tuple(sorted(step.scalars.items())))
@@ -259,7 +260,7 @@ class Benchmark(abc.ABC):
                                       for k, x in step.scalars.items()})
                 per_invocation = price_region_serial(
                     region, extents, step_bindings, dtype=self.dtype,
-                    spec=host)
+                    spec=host, plans=plans)
                 cache[key] = per_invocation / max(1, region.invocations)
             total += cache[key] * step.times
         return total

@@ -90,11 +90,15 @@ def _bfs_levels(graph: Graph, source: int) -> np.ndarray:
     level = 0
     while frontier.size:
         starts = graph.node_start[frontier]
-        ends = graph.node_start[frontier + 1]
-        neigh = np.concatenate([graph.edges[s:e]
-                                for s, e in zip(starts, ends)])
-        neigh = np.unique(neigh)
-        new = neigh[~visited[neigh]]
+        counts = graph.node_start[frontier + 1] - starts
+        # one CSR gather of every frontier node's adjacency list
+        first = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        neigh = graph.edges[first + np.arange(first.size)]
+        # unvisited neighbours, each once, in node order
+        mark = np.zeros(graph.n_nodes, dtype=bool)
+        mark[neigh] = True
+        mark &= ~visited
+        new = np.flatnonzero(mark)
         if new.size == 0:
             break
         level += 1

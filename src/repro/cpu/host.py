@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.ir.analysis.access import (AccessPattern, AccessSummary,
-                                      summarize_accesses)
-from repro.ir.analysis.metrics import body_work
+from repro.ir.analysis.access import (AccessPattern, AccessPlan,
+                                      AccessSummary, PlanCache, extents_key,
+                                      plan_accesses)
+from repro.ir.analysis.metrics import WorkPlan, plan_work
 from repro.ir.program import ParallelRegion, numpy_dtype
 from repro.ir.stmt import Stmt
 
@@ -64,20 +65,38 @@ def _bytes_for(summary: AccessSummary, elem_bytes: int,
     return total
 
 
+def _serial_plans(body: Stmt,
+                 array_extents: Mapping[str, Sequence[Optional[int]]],
+                 plans: Optional[PlanCache] = None,
+                 ) -> tuple[AccessPlan, WorkPlan]:
+    """The serial walker's static plans of ``body``, memoised in ``plans``
+    per (body, extents) when given."""
+    def build() -> tuple[AccessPlan, WorkPlan]:
+        return (plan_accesses(body, (), array_extents,
+                              classify_against="innermost"),
+                plan_work(body, ()))
+
+    if plans is None:
+        return build()
+    return plans.get((body, extents_key(array_extents)), build)
+
+
 def price_body_serial(body: Stmt, iterations: float,
                       array_extents: Mapping[str, Sequence[Optional[int]]],
                       bindings: Mapping[str, float],
                       dtype: str = "double",
-                      spec: HostSpec = KEENELAND_HOST) -> float:
+                      spec: HostSpec = KEENELAND_HOST,
+                      plans: Optional[PlanCache] = None) -> float:
     """Serial time of executing ``body`` ``iterations`` times.
 
     ``body`` is analysed with *no* thread indices: parallel loops count as
     sequential trips, so the estimate is the single-core execution of the
-    original OpenMP-less program.
+    original OpenMP-less program.  Callers pricing one body under many
+    bindings pass a ``plans`` cache so the body is analysed once.
     """
-    work = body_work(body, (), bindings)
-    summary = summarize_accesses(body, (), array_extents, bindings,
-                                 classify_against="innermost")
+    access_plan, work_plan = _serial_plans(body, array_extents, plans)
+    work = work_plan.evaluate(bindings)
+    summary = access_plan.evaluate(bindings)
     elem = numpy_dtype(dtype).itemsize
     t_flops = work.flops / spec.flops_per_s
     t_bytes = _bytes_for(summary, elem, spec) / spec.mem_bandwidth
@@ -90,7 +109,8 @@ def price_region_serial(region: ParallelRegion,
                         array_extents: Mapping[str, Sequence[Optional[int]]],
                         bindings: Mapping[str, float],
                         dtype: str = "double",
-                        spec: HostSpec = KEENELAND_HOST) -> float:
+                        spec: HostSpec = KEENELAND_HOST,
+                        plans: Optional[PlanCache] = None) -> float:
     """Serial time of one region across all its invocations.
 
     Classification uses no thread variables, so access patterns reflect a
@@ -101,4 +121,4 @@ def price_region_serial(region: ParallelRegion,
     byte volume.
     """
     return price_body_serial(region.body, float(region.invocations),
-                             array_extents, bindings, dtype, spec)
+                             array_extents, bindings, dtype, spec, plans)

@@ -17,9 +17,10 @@ import numpy as np
 from repro.errors import IRError, LaunchError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import MemorySpace
-from repro.ir.analysis.access import (AccessSummary, _const_value,
-                                      summarize_accesses)
-from repro.ir.analysis.metrics import WorkEstimate, body_work
+from repro.ir.analysis.access import (AccessPattern, AccessPlan,
+                                      AccessSummary, PlanCache, _const_value,
+                                      extents_key, plan_accesses)
+from repro.ir.analysis.metrics import WorkPlan, plan_work
 from repro.ir.program import numpy_dtype
 from repro.ir.stmt import Block, For, Stmt, as_block
 from repro.ir.transforms.tiling import TilingDecision
@@ -85,7 +86,7 @@ class Kernel:
                  regs_per_thread: int = 24,
                  indirect_carriers: Sequence[str] = (),
                  monotone_carriers: Sequence[str] = (),
-                 pattern_overrides: Optional[Mapping[str, "AccessPattern"]] = None,
+                 pattern_overrides: Optional[Mapping[str, AccessPattern]] = None,
                  private_orientations: Optional[Mapping[str, str]] = None) -> None:
         if not thread_vars:
             raise IRError(f"kernel {name!r} needs at least one thread index")
@@ -116,6 +117,16 @@ class Kernel:
                 raise IRError(
                     f"kernel {name!r}: bad expansion orientation {orient!r}")
         self._validate_thread_nest()
+        #: static plans of the body, per array-extents key: launches
+        #: only evaluate them under their bindings
+        self._plans = PlanCache("kernel")
+        self._private_bytes: Optional[int] = None
+
+    def __getstate__(self) -> dict:
+        # plans are a per-process memo, rebuilt on first use
+        state = dict(self.__dict__)
+        state["_plans"] = PlanCache("kernel")
+        return state
 
     # ------------------------------------------------------------------
     def _validate_thread_nest(self) -> None:
@@ -126,6 +137,7 @@ class Kernel:
             raise IRError(
                 f"kernel {self.name!r}: thread_vars {self.thread_vars} do "
                 f"not match the outermost parallel nest {found}")
+        self._grid = tuple(loops)
 
     def grid_loops(self) -> list[For]:
         """The parallel loops mapped to the grid, outermost first."""
@@ -155,7 +167,7 @@ class Kernel:
         """Numeric extent of each thread loop under ``bindings``."""
         extents: list[int] = []
         env = dict(bindings)
-        for loop in self.grid_loops():
+        for loop in self._grid:
             lo = _const_value(loop.lower, env)
             hi = _const_value(loop.upper, env)
             step = _const_value(loop.step, env) or 1.0
@@ -176,22 +188,14 @@ class Kernel:
     def describe(self, bindings: Mapping[str, float],
                  array_extents: Mapping[str, Sequence[Optional[int]]],
                  ) -> KernelDescriptor:
-        """Build the static descriptor the timing model prices."""
-        from repro.ir.analysis.access import AccessPattern
+        """Build the static descriptor the timing model prices.
 
-        work: WorkEstimate = body_work(self.body, self.thread_vars, bindings)
-        orientation_patterns = {
-            name: (AccessPattern.STRIDED if orient == "row"
-                   else AccessPattern.COALESCED)
-            for name, orient in self.private_orientations.items()
-            if orient in ("row", "column")
-        }
-        access = summarize_accesses(
-            self.body, self.thread_vars, array_extents, bindings,
-            indirect_carriers=self.indirect_carriers,
-            monotone_carriers=self.monotone_carriers,
-            local_patterns=orientation_patterns,
-            pattern_overrides=self.pattern_overrides)
+        The body's access and work plans are built once per array
+        extents; each launch only evaluates them under ``bindings``.
+        """
+        access_plan, work_plan = self.plans(array_extents)
+        work = work_plan.evaluate(bindings)
+        access = access_plan.evaluate(bindings)
         smem = sum(t.smem_bytes_per_block for t in self.tiling)
         return KernelDescriptor(
             name=self.name,
@@ -207,6 +211,30 @@ class Kernel:
             tiling=self.tiling,
         )
 
+    def plans(self, array_extents: Mapping[str, Sequence[Optional[int]]]
+              ) -> tuple[AccessPlan, WorkPlan]:
+        """The body's access and work plans under ``array_extents``,
+        built on first use and memoised per extents."""
+        return self._plans.get(extents_key(array_extents),
+                               lambda: self._build_plans(array_extents))
+
+    def _build_plans(self,
+                     array_extents: Mapping[str, Sequence[Optional[int]]]
+                     ) -> tuple[AccessPlan, WorkPlan]:
+        orientation_patterns = {
+            name: (AccessPattern.STRIDED if orient == "row"
+                   else AccessPattern.COALESCED)
+            for name, orient in self.private_orientations.items()
+            if orient in ("row", "column")
+        }
+        access = plan_accesses(
+            self.body, self.thread_vars, array_extents,
+            indirect_carriers=self.indirect_carriers,
+            monotone_carriers=self.monotone_carriers,
+            local_patterns=orientation_patterns,
+            pattern_overrides=self.pattern_overrides)
+        return access, plan_work(self.body, self.thread_vars)
+
     def elem_bytes(self) -> int:
         return numpy_dtype(self.dtype).itemsize
 
@@ -220,6 +248,8 @@ class Kernel:
         """
         from repro.ir.stmt import LocalDecl
 
+        if self._private_bytes is not None:
+            return self._private_bytes
         total = 0
         for stmt in self.body.walk():
             if isinstance(stmt, LocalDecl) and stmt.shape:
@@ -229,6 +259,7 @@ class Kernel:
                     for s in stmt.shape:
                         n *= s
                     total += n * numpy_dtype(stmt.dtype).itemsize
+        self._private_bytes = total
         return total
 
     def __repr__(self) -> str:

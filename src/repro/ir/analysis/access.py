@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from repro.ir.analysis.affine import affine_form
 from repro.ir.analysis.ranges import (SymRange, bindings_env, estimate_trips,
@@ -38,6 +38,9 @@ from repro.ir.analysis.ranges import (SymRange, bindings_env, estimate_trips,
 from repro.ir.expr import ArrayRef, Const, Expr, Var
 from repro.ir.stmt import (Assign, Block, Critical, For, If, LocalDecl,
                            Stmt, While)
+
+
+T = TypeVar("T")
 
 
 class AccessPattern(enum.Enum):
@@ -376,6 +379,135 @@ DEFAULT_SEQ_TRIPS = 16.0
 evaluation inputs."""
 
 
+class WeightFrames:
+    """The binding-independent skeleton of a body's execution weights.
+
+    A reference's weight is the product of the factors of every context
+    enclosing it: a sequential loop's trip count, ``DEFAULT_SEQ_TRIPS``
+    per ``While``, 0.5 per ``If`` branch.  Each context is one *frame*:
+    frame 0 is the body (weight 1), and every later frame multiplies its
+    parent's weight by one factor.  Only the trip counts depend on the
+    bindings, so a plan records frames once and :meth:`weights`
+    multiplies them out per launch.  Frames are created in walk order
+    and evaluated in that order, one ``parent * factor`` each — the same
+    operations, in the same order, as the recursive walk's ``weight *
+    trips`` / ``weight * 0.5``, so the weights are bit-identical to it.
+    """
+
+    def __init__(self) -> None:
+        #: sequential loops in walk order, each with its enclosing loop
+        #: nest (outermost first, itself last): the loops whose ranges
+        #: the trip estimator sees
+        self.loops: list[tuple[For, tuple[For, ...]]] = []
+        #: ``(parent frame, constant factor, loop index or -1)`` for
+        #: frames 1, 2, ...
+        self.factors: list[tuple[int, float, int]] = []
+
+    def child(self, parent: int, factor: float) -> int:
+        """A frame weighing ``parent`` by a constant factor."""
+        self.factors.append((parent, factor, -1))
+        return len(self.factors)
+
+    def loop(self, parent: int, loop: For, nest: Sequence[For]) -> int:
+        """A frame weighing ``parent`` by a sequential loop's trips."""
+        self.loops.append((loop, tuple(nest)))
+        self.factors.append((parent, 0.0, len(self.loops) - 1))
+        return len(self.factors)
+
+    def trips(self, bindings: Mapping[str, float]
+              ) -> list[tuple[float, bool]]:
+        """Every sequential loop's trip count under ``bindings``."""
+        return [_seq_trips(loop, nest, bindings) for loop, nest in self.loops]
+
+    def weights(self, trips: Sequence[tuple[float, bool]]) -> list[float]:
+        """Every frame's weight, given :meth:`trips`."""
+        weights = [1.0]
+        for parent, factor, loop in self.factors:
+            weights.append(weights[parent]
+                           * (factor if loop < 0 else trips[loop][0]))
+        return weights
+
+
+def _seq_trips(loop: For, nest: Sequence[For],
+               bindings: Mapping[str, float]) -> tuple[float, bool]:
+    """Trip count of a sequential loop, and whether it is exact.
+
+    Exact when the bounds evaluate under ``bindings``; otherwise the
+    value-range estimate over the ranges of ``nest`` (the enclosing
+    loops, ending with ``loop`` itself), else ``DEFAULT_SEQ_TRIPS``.
+    """
+    lo = _const_value(loop.lower, bindings)
+    hi = _const_value(loop.upper, bindings)
+    step = _const_value(loop.step, bindings) or 1.0
+    if lo is not None and hi is not None and step:
+        return max(0.0, math.ceil((hi - lo) / step)), True
+    range_env: dict[str, SymRange] = bindings_env(bindings)
+    for enclosing in nest:
+        range_env[enclosing.var] = loop_range(enclosing, range_env)
+    est = estimate_trips(loop.lower, loop.upper, loop.step, range_env)
+    return (est if est is not None else DEFAULT_SEQ_TRIPS), False
+
+
+@dataclass
+class AccessPlan:
+    """The binding-independent half of :func:`summarize_accesses`.
+
+    Every reference's classification, in walk order, with the frame its
+    weight comes from; :meth:`evaluate` is the per-launch half.
+    """
+
+    frames: WeightFrames
+    refs: list[tuple[RefClass, int]]
+
+    def evaluate(self, bindings: Optional[Mapping[str, float]] = None
+                 ) -> AccessSummary:
+        frames = self.frames
+        weights = frames.weights(frames.trips(bindings or {}))
+        return AccessSummary([(cls, weights[frame])
+                              for cls, frame in self.refs])
+
+
+def extents_key(array_extents: Mapping[str, Sequence[Optional[int]]]
+                ) -> tuple:
+    """A hashable form of an array-extents mapping (plan-cache keys)."""
+    return tuple(sorted((name, tuple(ext))
+                        for name, ext in array_extents.items()))
+
+
+class PlanCache:
+    """Plans memoised by the caller's key, with build/hit accounting.
+
+    Each cache lives on the object whose work it serves: a kernel
+    (owned by one compiled port), one ``cpu_time`` call, one executable
+    program.  The builds and hits a sweep records therefore depend only
+    on the ports and runs it does — each port belongs to exactly one
+    work unit — so the ``access_plan_builds`` / ``access_plan_hits``
+    metric families are identical for any ``--jobs``.
+    """
+
+    def __init__(self, scope: str) -> None:
+        self.scope = scope
+        self._plans: dict = {}
+
+    def get(self, key, build: Callable[[], T]) -> T:
+        from repro.obs import metrics as obs_metrics
+
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = build()
+            obs_metrics.inc("access_plan_builds",
+                            labels={"scope": self.scope},
+                            help="static access/work plans built",
+                            deterministic=True)
+        else:
+            obs_metrics.inc("access_plan_hits",
+                            labels={"scope": self.scope},
+                            help="pricing calls served by a memoised "
+                                 "static plan",
+                            deterministic=True)
+        return plan
+
+
 def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
                        array_extents: Mapping[str, Sequence[Optional[int]]],
                        bindings: Optional[Mapping[str, float]] = None,
@@ -403,17 +535,39 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
     ``pattern_overrides`` forces a pattern for named global arrays — the
     hook the compilers use to record transformation effects (e.g.
     OpenMPC's loop collapsing turning indirect CSR traffic coalesced).
+
+    Plans with :func:`plan_accesses`, then evaluates under ``bindings``;
+    callers pricing many launches keep the plan instead.
     """
-    bindings = dict(bindings or {})
+    return plan_accesses(body, thread_vars, array_extents,
+                         indirect_carriers, monotone_carriers,
+                         classify_against, local_patterns,
+                         pattern_overrides).evaluate(bindings)
+
+
+def plan_accesses(body: Stmt, thread_vars: Sequence[str],
+                  array_extents: Mapping[str, Sequence[Optional[int]]],
+                  indirect_carriers: Iterable[str] = (),
+                  monotone_carriers: Iterable[str] = (),
+                  classify_against: str = "thread",
+                  local_patterns: Optional[Mapping[str, AccessPattern]] = None,
+                  pattern_overrides: Optional[Mapping[str, AccessPattern]] = None,
+                  ) -> AccessPlan:
+    """Classify every reference of ``body`` once, for any bindings.
+
+    Arguments as for :func:`summarize_accesses`.  Classification reads
+    only the loop structure, extents, carriers and patterns — never the
+    bindings — so the plan holds for every launch of the body.
+    """
+    indirect_carriers = tuple(indirect_carriers)
+    monotone_carriers = tuple(monotone_carriers)
     local_patterns = dict(local_patterns or {})
     pattern_overrides = dict(pattern_overrides or {})
-    summary = AccessSummary()
+    frames = WeightFrames()
+    refs: list[tuple[RefClass, int]] = []
     local_arrays: set[str] = set()
     tset = set(thread_vars)
-    loop_stack: list[str] = []
-    #: symbolic value ranges of bound scalars and enclosing loop
-    #: iterators — the trip-count estimator's environment.
-    range_env: dict[str, SymRange] = bindings_env(bindings)
+    loop_stack: list[For] = []
     #: sequential loop indices whose bounds depend on the thread index
     #: (CSR row loops, frontier scans): addresses indexed by them are
     #: data-dependent across the warp — effectively indirect accesses.
@@ -442,9 +596,9 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
         if classify_against == "innermost":
             # pick the innermost enclosing loop index the ref depends on
             against: list[str] = []
-            for var in reversed(loop_stack):
-                if var in index_vars:
-                    against = [var]
+            for loop in reversed(loop_stack):
+                if loop.var in index_vars:
+                    against = [loop.var]
                     break
             if not against:
                 return RefClass(node.name, AccessPattern.UNIFORM, stride=0,
@@ -458,7 +612,7 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
                             indirect_carriers=indirect_carriers,
                             monotone_carriers=monotone_carriers)
 
-    def record(expr: Expr, weight: float, store_target: Optional[ArrayRef]) -> None:
+    def record(expr: Expr, frame: int, store_target: Optional[ArrayRef]) -> None:
         for node in expr.walk():
             if isinstance(node, ArrayRef):
                 cls = classify(
@@ -466,87 +620,70 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
                     is_store=(store_target is not None and node is store_target),
                 )
                 if cls is not None:
-                    summary.refs.append((cls, weight))
+                    refs.append((cls, frame))
 
-    def scan(stmt: Stmt, weight: float) -> None:
+    def scan(stmt: Stmt, frame: int) -> None:
         if isinstance(stmt, Block):
             for s in stmt.stmts:
-                scan(s, weight)
+                scan(s, frame)
         elif isinstance(stmt, LocalDecl):
             if stmt.shape:
                 local_arrays.add(stmt.name)
             if stmt.init is not None:
-                record(stmt.init, weight, None)
+                record(stmt.init, frame, None)
         elif isinstance(stmt, Assign):
-            record(stmt.value, weight, None)
+            record(stmt.value, frame, None)
             if isinstance(stmt.target, ArrayRef):
                 # store (plus a load when augmented)
                 cls = classify(stmt.target, is_store=True)
                 if cls is not None:
-                    summary.refs.append((cls, weight))
+                    refs.append((cls, frame))
                     if stmt.op is not None:
                         load_cls = RefClass(cls.array, cls.pattern, cls.stride,
                                             is_store=False)
-                        summary.refs.append((load_cls, weight))
+                        refs.append((load_cls, frame))
                 # index expressions read whatever arrays they traverse
                 for index in stmt.target.indices:
-                    record(index, weight, None)
+                    record(index, frame, None)
         elif isinstance(stmt, For):
-            loop_stack.append(stmt.var)
+            loop_stack.append(stmt)
             try:
-                _scan_for(stmt, weight)
+                _scan_for(stmt, frame)
             finally:
                 loop_stack.pop()
         elif isinstance(stmt, While):
-            record(stmt.cond, weight * DEFAULT_SEQ_TRIPS, None)
-            scan(stmt.body, weight * DEFAULT_SEQ_TRIPS)
+            inner = frames.child(frame, DEFAULT_SEQ_TRIPS)
+            record(stmt.cond, inner, None)
+            scan(stmt.body, inner)
         elif isinstance(stmt, If):
-            record(stmt.cond, weight, None)
-            scan(stmt.then_body, weight * 0.5)
+            record(stmt.cond, frame, None)
+            scan(stmt.then_body, frames.child(frame, 0.5))
             if stmt.else_body is not None:
-                scan(stmt.else_body, weight * 0.5)
+                scan(stmt.else_body, frames.child(frame, 0.5))
         elif isinstance(stmt, Critical):
-            scan(stmt.body, weight)
+            scan(stmt.body, frame)
         else:
             for expr in stmt.exprs():
-                record(expr, weight, None)
+                record(expr, frame, None)
 
-    def _scan_for(stmt: For, weight: float) -> None:
-        saved = range_env.get(stmt.var)
-        range_env[stmt.var] = loop_range(stmt, range_env)
-        try:
-            if stmt.var in thread_vars:
-                scan(stmt.body, weight)
-                return
-            lo = _const_value(stmt.lower, bindings)
-            hi = _const_value(stmt.upper, bindings)
-            step = _const_value(stmt.step, bindings) or 1.0
-            if lo is not None and hi is not None and step:
-                trips = max(0.0, math.ceil((hi - lo) / step))
-            else:
-                # value-range estimate (triangular/clamped bounds) before
-                # falling back to the legacy flat guess
-                est = estimate_trips(stmt.lower, stmt.upper, stmt.step,
-                                     range_env)
-                trips = est if est is not None else DEFAULT_SEQ_TRIPS
-            # Bounds that depend on the thread index (directly or through
-            # an array lookup like row_ptr[i]) make this an irregular
-            # loop: its index produces data-dependent addresses across
-            # the warp.
-            bound_vars = (stmt.lower.free_vars() | stmt.upper.free_vars())
-            was_irregular = stmt.var in irregular_vars
-            if bound_vars & (tset | irregular_vars):
-                irregular_vars.add(stmt.var)
-            record(stmt.lower, weight, None)
-            record(stmt.upper, weight, None)
-            scan(stmt.body, weight * trips)
-            if not was_irregular:
-                irregular_vars.discard(stmt.var)
-        finally:
-            if saved is None:
-                range_env.pop(stmt.var, None)
-            else:
-                range_env[stmt.var] = saved
+    def _scan_for(stmt: For, frame: int) -> None:
+        if stmt.var in thread_vars:
+            scan(stmt.body, frame)
+            return
+        inner = frames.loop(frame, stmt, loop_stack)
+        # Bounds that depend on the thread index (directly or through
+        # an array lookup like row_ptr[i]) make this an irregular
+        # loop: its index produces data-dependent addresses across
+        # the warp.
+        bound_vars = (stmt.lower.free_vars() | stmt.upper.free_vars())
+        was_irregular = stmt.var in irregular_vars
+        if bound_vars & (tset | irregular_vars):
+            irregular_vars.add(stmt.var)
+        record(stmt.lower, frame, None)
+        record(stmt.upper, frame, None)
+        scan(stmt.body, inner)
+        if not was_irregular:
+            irregular_vars.discard(stmt.var)
 
-    scan(body, 1.0)
-    return summary
+    scan(body, 0)
+    return AccessPlan(frames, refs)

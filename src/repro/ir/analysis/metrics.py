@@ -8,13 +8,10 @@ two sides of the ``max(compute, memory)`` roofline are consistent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.ir.analysis.access import DEFAULT_SEQ_TRIPS, _const_value
-from repro.ir.analysis.ranges import (SymRange, bindings_env, estimate_trips,
-                                      loop_range)
+from repro.ir.analysis.access import DEFAULT_SEQ_TRIPS, WeightFrames
 from repro.ir.expr import (INTRINSIC_FLOP_COST, ArrayRef, BinOp, Call, Cast,
                            Const, Expr, Ternary, UnOp, Var)
 from repro.ir.stmt import (Assign, Block, Critical, For, If, LocalDecl,
@@ -76,15 +73,68 @@ class WorkEstimate:
 
 def body_work(body: Stmt, thread_vars: Sequence[str],
               bindings: Optional[Mapping[str, float]] = None) -> WorkEstimate:
-    """Estimate per-thread flops and divergence for a kernel body."""
-    bindings = dict(bindings or {})
-    est = WorkEstimate()
-    range_env: dict[str, SymRange] = bindings_env(bindings)
+    """Estimate per-thread flops and divergence for a kernel body.
 
-    def scan(stmt: Stmt, weight: float, divergent: bool) -> None:
+    Plans with :func:`plan_work`, then evaluates under ``bindings``.
+    """
+    return plan_work(body, thread_vars).evaluate(bindings)
+
+
+@dataclass
+class WorkPlan:
+    """The binding-independent half of :func:`body_work`.
+
+    ``ops`` lists, in walk order, every contribution to the estimate:
+
+    * ``("flops", n, frame)`` — ``n`` flops weighted by ``frame``;
+    * ``("while_cond", n, frame)`` — a ``While`` condition's flops,
+      weighted by ``frame`` and then by ``DEFAULT_SEQ_TRIPS``;
+    * ``("diverge", d, 0)`` — add ``d`` to the divergence (capped at 1);
+    * ``("loop", loop, frame)`` — a sequential loop's bookkeeping: its
+      trips weighted by ``frame``, plus 0.25 divergence when the trip
+      count is data-dependent (not exact under the bindings).
+
+    :meth:`evaluate` replays them in order, so the flops and divergence
+    sums are bit-identical to the recursive walk's.
+    """
+
+    frames: WeightFrames
+    ops: list[tuple[str, float, int]]
+    branches: int
+
+    def evaluate(self, bindings: Optional[Mapping[str, float]] = None
+                 ) -> WorkEstimate:
+        trips = self.frames.trips(bindings or {})
+        weights = self.frames.weights(trips)
+        flops = divergence = 0.0
+        for kind, value, frame in self.ops:
+            if kind == "flops":
+                flops += value * weights[frame]
+            elif kind == "diverge":
+                divergence = min(1.0, divergence + value)
+            elif kind == "loop":
+                count, exact = trips[value]
+                if not exact:
+                    # data-dependent trip counts diverge across the warp
+                    divergence = min(1.0, divergence + 0.25)
+                flops += count * weights[frame]  # loop bookkeeping
+            else:
+                flops += value * weights[frame] * DEFAULT_SEQ_TRIPS
+        return WorkEstimate(flops, divergence, self.branches)
+
+
+def plan_work(body: Stmt, thread_vars: Sequence[str]) -> WorkPlan:
+    """Count every statement's flops once, for any bindings."""
+    frames = WeightFrames()
+    ops: list[tuple[str, float, int]] = []
+    branches = 0
+    nest: list[For] = []
+
+    def scan(stmt: Stmt, frame: int, divergent: bool) -> None:
+        nonlocal branches
         if isinstance(stmt, Block):
             for s in stmt.stmts:
-                scan(s, weight, divergent)
+                scan(s, frame, divergent)
         elif isinstance(stmt, Assign):
             flops = _expr_flops_clean(stmt.value)
             if isinstance(stmt.target, ArrayRef):
@@ -92,61 +142,48 @@ def body_work(body: Stmt, thread_vars: Sequence[str],
                              for i in stmt.target.indices)
             if stmt.op is not None:
                 flops += BINOP_FLOP_COST.get(stmt.op, 1.0)
-            est.flops += flops * weight
+            ops.append(("flops", flops, frame))
             if divergent:
-                est.divergence = min(1.0, est.divergence + 0.05)
+                ops.append(("diverge", 0.05, 0))
         elif isinstance(stmt, LocalDecl):
             if stmt.init is not None:
-                est.flops += _expr_flops_clean(stmt.init) * weight
+                ops.append(("flops", _expr_flops_clean(stmt.init), frame))
         elif isinstance(stmt, For):
-            est.flops += (_expr_flops_clean(stmt.lower)
-                          + _expr_flops_clean(stmt.upper)) * weight
-            saved = range_env.get(stmt.var)
-            range_env[stmt.var] = loop_range(stmt, range_env)
+            ops.append(("flops", _expr_flops_clean(stmt.lower)
+                        + _expr_flops_clean(stmt.upper), frame))
+            nest.append(stmt)
             try:
                 if stmt.var in thread_vars:
-                    scan(stmt.body, weight, divergent)
+                    scan(stmt.body, frame, divergent)
                 else:
-                    lo = _const_value(stmt.lower, bindings)
-                    hi = _const_value(stmt.upper, bindings)
-                    step = _const_value(stmt.step, bindings) or 1.0
-                    if lo is not None and hi is not None and step:
-                        trips = max(0.0, math.ceil((hi - lo) / step))
-                    else:
-                        ranged = estimate_trips(stmt.lower, stmt.upper,
-                                                stmt.step, range_env)
-                        trips = (ranged if ranged is not None
-                                 else DEFAULT_SEQ_TRIPS)
-                        # data-dependent trip counts diverge across the warp
-                        est.divergence = min(1.0, est.divergence + 0.25)
-                    est.flops += trips * weight  # loop bookkeeping
-                    scan(stmt.body, weight * trips, divergent)
+                    inner = frames.loop(frame, stmt, nest)
+                    ops.append(("loop", len(frames.loops) - 1, frame))
+                    scan(stmt.body, inner, divergent)
             finally:
-                if saved is None:
-                    range_env.pop(stmt.var, None)
-                else:
-                    range_env[stmt.var] = saved
+                nest.pop()
         elif isinstance(stmt, While):
-            est.divergence = min(1.0, est.divergence + 0.3)
-            est.flops += _expr_flops_clean(stmt.cond) * weight * DEFAULT_SEQ_TRIPS
-            scan(stmt.body, weight * DEFAULT_SEQ_TRIPS, True)
+            ops.append(("diverge", 0.3, 0))
+            ops.append(("while_cond", _expr_flops_clean(stmt.cond), frame))
+            scan(stmt.body, frames.child(frame, DEFAULT_SEQ_TRIPS), True)
         elif isinstance(stmt, If):
-            est.branches += 1
-            est.flops += _expr_flops_clean(stmt.cond) * weight
+            branches += 1
+            ops.append(("flops", _expr_flops_clean(stmt.cond), frame))
             cond_thread_dep = bool(stmt.cond.free_vars() & set(thread_vars)
                                    or stmt.cond.array_names())
             if cond_thread_dep:
-                est.divergence = min(1.0, est.divergence + 0.15)
-            scan(stmt.then_body, weight * 0.5, divergent or cond_thread_dep)
+                ops.append(("diverge", 0.15, 0))
+            scan(stmt.then_body, frames.child(frame, 0.5),
+                 divergent or cond_thread_dep)
             if stmt.else_body is not None:
-                scan(stmt.else_body, weight * 0.5, divergent or cond_thread_dep)
+                scan(stmt.else_body, frames.child(frame, 0.5),
+                     divergent or cond_thread_dep)
         elif isinstance(stmt, Critical):
             # serialized updates: charge heavily
-            est.divergence = min(1.0, est.divergence + 0.5)
-            scan(stmt.body, weight, True)
+            ops.append(("diverge", 0.5, 0))
+            scan(stmt.body, frame, True)
         else:
             for expr in stmt.exprs():
-                est.flops += _expr_flops_clean(expr) * weight
+                ops.append(("flops", _expr_flops_clean(expr), frame))
 
-    scan(body, 1.0, False)
-    return est
+    scan(body, 0, False)
+    return WorkPlan(frames, ops, branches)

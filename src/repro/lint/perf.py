@@ -29,7 +29,7 @@ from repro.gpusim.coalescing import is_poorly_coalesced, transactions_per_warp
 from repro.gpusim.kernel import Kernel
 from repro.gpusim.memory import MemorySpace
 from repro.gpusim.occupancy import block_shape_occupancy
-from repro.ir.analysis.access import AccessPattern, summarize_accesses
+from repro.ir.analysis.access import AccessPattern
 from repro.ir.expr import ArrayRef
 from repro.lint.engine import LintContext, checker, declare
 from repro.lint.findings import Finding, Severity
@@ -59,18 +59,8 @@ def _kernel_summary(kernel: Kernel, ctx: LintContext):
     """Access summary with symbolic extents — classification only."""
     extents = {name: [None] * max(1, len(decl.shape))
                for name, decl in ctx.program.arrays.items()}
-    orientation = {
-        name: (AccessPattern.STRIDED if orient == "row"
-               else AccessPattern.COALESCED)
-        for name, orient in kernel.private_orientations.items()
-        if orient in ("row", "column")
-    }
-    return summarize_accesses(
-        kernel.body, kernel.thread_vars, extents, {},
-        indirect_carriers=kernel.indirect_carriers,
-        monotone_carriers=kernel.monotone_carriers,
-        local_patterns=orientation,
-        pattern_overrides=kernel.pattern_overrides)
+    access_plan, _ = kernel.plans(extents)
+    return access_plan.evaluate({})
 
 
 def _distinct_reads(kernel: Kernel) -> dict[str, int]:

@@ -34,6 +34,7 @@ from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.kernel import DEFAULT_BLOCK, Kernel
 from repro.gpusim.memory import MemorySpace
 from repro.gpusim.runtime import CudaRuntime
+from repro.ir.analysis.access import PlanCache
 from repro.ir.analysis.features import RegionFeatures, scan_region
 from repro.ir.program import ParallelRegion, Program
 from repro.ir.stmt import Block, For, LocalDecl, Stmt
@@ -437,6 +438,8 @@ class ExecutableProgram:
         self.rt = runtime or CudaRuntime()
         self.host = host
         self.host_time_s = 0.0
+        #: serial plans of the regions that fall back to the host
+        self._host_plans = PlanCache("host")
         self._data_region_of: dict[str, DataRegionSpec] = {}
         for dr in compiled.data_regions:
             for rname in dr.regions:
@@ -580,7 +583,8 @@ class ExecutableProgram:
         extents = {name: list(arr.shape)
                    for name, arr in self.rt.host_arrays.items()}
         bindings = {k: float(v) for k, v in scalars.items()}
-        t = price_region_serial(region, extents, bindings, spec=self.host)
+        t = price_region_serial(region, extents, bindings, spec=self.host,
+                                plans=self._host_plans)
         # price_region_serial multiplies by region.invocations; here the
         # driver controls repetition explicitly.
         t = t / max(1, region.invocations) * times

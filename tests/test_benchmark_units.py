@@ -119,6 +119,25 @@ class TestBfs:
             expected = lengths.get(node, -1)
             assert levels[node] == expected
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_levels_match_a_queue_bfs(self, seed):
+        from collections import deque
+
+        from repro.benchmarks.bfs import _bfs_levels
+
+        g = make_graph(3000, avg_degree=3, seed=seed)
+        want = [-1] * g.n_nodes
+        want[0] = 0
+        queue = deque([0])
+        while queue:
+            node = queue.popleft()
+            for k in range(g.node_start[node], g.node_start[node + 1]):
+                nbr = int(g.edges[k])
+                if want[nbr] < 0:
+                    want[nbr] = want[node] + 1
+                    queue.append(nbr)
+        assert _bfs_levels(g, 0).tolist() == want
+
     def test_schedule_covers_all_levels(self):
         b = get_benchmark("BFS")
         wl = b.workload("test")
