@@ -23,8 +23,8 @@ from repro.gpusim.multigpu import (KEENELAND_IB, Interconnect,
                                    device_timelines, scaling_sweep,
                                    sweep_chrome_document)
 from repro.gpusim.runtime import CudaRuntime
-from repro.gpusim.trace import (AuditRow, MemoryTrace, TracingExecutor,
-                                audit_kernel, render_audit)
+from repro.gpusim.trace import (AuditRow, MemoryTrace, audit_kernel,
+                                render_audit)
 from repro.gpusim.timing import (KernelTiming, TimingConfig, price_kernel,
                                  price_transfer)
 
@@ -45,6 +45,5 @@ __all__ = [
     "kernel_to_cuda", "compiled_program_to_cuda", "expr_to_c",
     "Interconnect", "KEENELAND_IB", "ScalingPoint", "ScalingSweep",
     "scaling_sweep", "device_timelines", "sweep_chrome_document",
-    "MemoryTrace", "TracingExecutor", "AuditRow", "audit_kernel",
-    "render_audit",
+    "MemoryTrace", "AuditRow", "audit_kernel", "render_audit",
 ]

@@ -10,57 +10,38 @@ dimensions) while remaining an *interpreter* of the IR — every model
 compiler's output is executed by the same machinery and validated against
 the NumPy reference implementations.
 
-Semantics notes:
-
-* **Augmented array stores** (``A[f(i)] op= v``) use duplicate-safe
-  ``ufunc.at`` updates when lanes may collide, so reductions and
-  critical-section updates produce exact (order-independent for +/min/max,
-  and deterministic) results.
-* **Inactive lanes** never write; their *reads* are clipped to valid
-  addresses (the values are discarded).  With no mask active, an
-  out-of-bounds subscript raises :class:`ExecutionError`.
-* **Sequential loops with thread-dependent bounds** (CSR row loops)
-  iterate to the maximum bound with a per-lane validity mask.
+Array accesses and value rules (index clipping and bounds checks,
+duplicate-safe reductions, masked scalar promotion, casts, the operator
+tables) live in :mod:`repro.gpusim.semantics`, shared with the JIT: this
+module evaluates operands and walks control flow.  **Sequential loops
+with thread-dependent bounds** (CSR row loops) iterate to the maximum
+bound with a per-lane validity mask.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Mapping, MutableMapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, MutableMapping, Optional
 
 import numpy as np
 
 from repro.errors import ExecutionError, LaunchError
+from repro.gpusim import semantics as sem
 from repro.gpusim.kernel import Kernel
+from repro.gpusim.semantics import Value, is_vector
 from repro.ir.expr import (ArrayRef, BinOp, Call, Cast, Const, Expr,
                            Ternary, UnOp, Var)
 from repro.ir.program import Function
 from repro.ir.stmt import (Assign, Barrier, Block, CallStmt, Critical, For,
                            If, LocalDecl, PointerArith, Return, Stmt, While)
 
-Value = Union[int, float, bool, np.ndarray]
-
-_INTRINSIC_FUNCS: Mapping[str, Callable[..., np.ndarray]] = {
-    "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "pow": np.power,
-    "fabs": np.abs, "floor": np.floor, "ceil": np.ceil, "sin": np.sin,
-    "cos": np.cos, "tan": np.tan, "rsqrt": lambda x: 1.0 / np.sqrt(x),
-    "fmin": np.minimum, "fmax": np.maximum, "round": np.round,
-    "sign": np.sign,
-}
-
-_REDUCE_UFUNC = {"+": np.add, "*": np.multiply,
-                 "min": np.minimum, "max": np.maximum}
-
-_REDUCE_FOLD = {"+": np.sum, "*": np.prod, "min": np.min, "max": np.max}
+if TYPE_CHECKING:
+    from repro.gpusim.trace import MemoryTrace
 
 
 class _ReturnSignal(Exception):
     """Unwinds a user-function body on ``return``."""
-
-
-def _is_vector(v: Value) -> bool:
-    return isinstance(v, np.ndarray) and v.ndim > 0
 
 
 class KernelExecutor:
@@ -69,7 +50,8 @@ class KernelExecutor:
     def __init__(self, kernel: Kernel,
                  arrays: MutableMapping[str, np.ndarray],
                  scalars: Mapping[str, Value],
-                 functions: Optional[Mapping[str, Function]] = None) -> None:
+                 functions: Optional[Mapping[str, Function]] = None,
+                 trace: Optional[MemoryTrace] = None) -> None:
         self.kernel = kernel
         self.arrays = arrays
         self.env: dict[str, Value] = dict(scalars)
@@ -77,11 +59,8 @@ class KernelExecutor:
         self.functions = dict(functions or {})
         self.mask_stack: list[Optional[np.ndarray]] = [None]
         self.T = 0
-        #: set once any loop with thread-dependent bounds executes
-        #: (CSR-style masked iteration) — memory traces recorded under
-        #: it undercount real per-warp issue width (see
-        #: :mod:`repro.gpusim.trace`)
-        self.data_dependent = False
+        #: observer of every global-memory access, if any
+        self.trace = trace
 
     # -- mask helpers ---------------------------------------------------
     @property
@@ -96,6 +75,13 @@ class KernelExecutor:
     def _pop_mask(self) -> None:
         self.mask_stack.pop()
 
+    def _data_dependent(self) -> None:
+        """A loop with thread-dependent bounds runs (CSR-style masked
+        iteration): accesses traced from here on undercount the real
+        per-warp issue width (see :mod:`repro.gpusim.trace`)."""
+        if self.trace is not None:
+            self.trace.data_dependent = True
+
     # -- launch ---------------------------------------------------------
     def run(self) -> None:
         """Execute the kernel body over the full grid."""
@@ -105,14 +91,12 @@ class KernelExecutor:
         steps: list[int] = []
         for loop in loops:
             try:
-                lo = self._expect_scalar_int(
-                    self._eval(loop.lower),
-                    f"grid lower bound of {loop.var}")
-                hi = self._expect_scalar_int(
-                    self._eval(loop.upper),
-                    f"grid upper bound of {loop.var}")
-                st = self._expect_scalar_int(
-                    self._eval(loop.step), f"grid step of {loop.var}")
+                lo = sem.scalar_int(self._eval(loop.lower),
+                                    f"grid lower bound of {loop.var}")
+                hi = sem.scalar_int(self._eval(loop.upper),
+                                    f"grid upper bound of {loop.var}")
+                st = sem.scalar_int(self._eval(loop.step),
+                                    f"grid step of {loop.var}")
             except ExecutionError as exc:
                 raise LaunchError(
                     f"kernel {self.kernel.name!r}: grid bounds of "
@@ -140,42 +124,30 @@ class KernelExecutor:
         innermost_body = loops[-1].body
         self._exec(innermost_body)
 
-    @staticmethod
-    def _expect_scalar_int(v: Value, what: str) -> int:
-        if _is_vector(v):
-            raise LaunchError(f"{what} must be thread-independent")
-        return int(v)
-
     # -- expression evaluation ------------------------------------------
     def _eval(self, expr: Expr) -> Value:
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Var):
-            try:
-                return self.env[expr.name]
-            except KeyError:
-                raise ExecutionError(
-                    f"kernel {self.kernel.name!r}: unbound variable "
-                    f"{expr.name!r}") from None
+            return sem.check_bound(self.env.get(expr.name, sem.UNBOUND),
+                                   expr.name, self.kernel.name)
         if isinstance(expr, BinOp):
-            return self._eval_binop(expr)
+            left = self._eval(expr.left)
+            right = self._eval(expr.right)
+            with np.errstate(invalid="ignore", divide="ignore",
+                             over="ignore"):
+                return sem.BINOPS[expr.op](left, right)
         if isinstance(expr, UnOp):
-            operand = self._eval(expr.operand)
-            if expr.op == "-":
-                return -operand  # type: ignore[operator]
-            if expr.op == "!":
-                return np.logical_not(operand)
-            if expr.op == "~":
-                return ~np.asarray(operand)
+            return sem.UNOPS[expr.op](self._eval(expr.operand))
         if isinstance(expr, Call):
-            func = _INTRINSIC_FUNCS[expr.func]
+            func = sem.INTRINSIC_FUNCS[expr.func]
             args = [self._eval(a) for a in expr.args]
             with np.errstate(invalid="ignore", divide="ignore",
                              over="ignore"):
                 return func(*args)
         if isinstance(expr, Ternary):
             cond = self._eval(expr.cond)
-            if not _is_vector(cond):
+            if not is_vector(cond):
                 # short-circuit: only the taken branch is evaluated
                 return (self._eval(expr.if_true) if cond
                         else self._eval(expr.if_false))
@@ -192,194 +164,16 @@ class KernelExecutor:
                 self._pop_mask()
             return np.where(cond_b, t, f)
         if isinstance(expr, Cast):
-            operand = self._eval(expr.operand)
-            if expr.dtype == "int":
-                if _is_vector(operand):
-                    if operand.dtype.kind == "f":
-                        # inactive lanes may hold NaN/inf; their values
-                        # are discarded, so cast them to 0 silently
-                        with np.errstate(invalid="ignore"):
-                            safe = np.nan_to_num(operand, nan=0.0,
-                                                 posinf=0.0, neginf=0.0)
-                            return np.trunc(safe).astype(np.int64)
-                    return operand.astype(np.int64)
-                return int(operand)
-            target = np.float32 if expr.dtype == "float" else np.float64
-            if _is_vector(operand):
-                return operand.astype(target)
-            return float(operand)
+            return sem.cast(self._eval(expr.operand), expr.dtype)
         if isinstance(expr, ArrayRef):
-            return self._load(expr)
+            idx = [self._eval(i) for i in expr.indices]
+            local = self.local_arrays.get(expr.name)
+            if local is not None:
+                return sem.load_local(local, idx, self.mask, self.T,
+                                      expr.name, self.kernel.name)
+            return sem.load(self.arrays, expr.name, idx, self.mask, self.T,
+                            self.kernel.name, self.trace)
         raise ExecutionError(f"cannot evaluate expression {expr!r}")
-
-    def _eval_binop(self, expr: BinOp) -> Value:
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        op = expr.op
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                return np.true_divide(left, right)
-            if op == "//":
-                return np.floor_divide(left, right)
-            if op == "%":
-                return np.mod(left, right)
-            if op == "min":
-                return np.minimum(left, right)
-            if op == "max":
-                return np.maximum(left, right)
-            if op == "<":
-                return np.less(left, right)
-            if op == "<=":
-                return np.less_equal(left, right)
-            if op == ">":
-                return np.greater(left, right)
-            if op == ">=":
-                return np.greater_equal(left, right)
-            if op == "==":
-                return np.equal(left, right)
-            if op == "!=":
-                return np.not_equal(left, right)
-            if op == "&&":
-                return np.logical_and(left, right)
-            if op == "||":
-                return np.logical_or(left, right)
-            if op == "&":
-                return np.bitwise_and(left, right)
-            if op == "|":
-                return np.bitwise_or(left, right)
-            if op == "^":
-                return np.bitwise_xor(left, right)
-            if op == "<<":
-                return np.left_shift(left, right)
-            if op == ">>":
-                return np.right_shift(left, right)
-        raise ExecutionError(f"unknown binary op {op!r}")
-
-    # -- array addressing -------------------------------------------------
-    def _indices(self, ref: ArrayRef, shape: tuple[int, ...],
-                 skip_axes: int = 0) -> tuple[Value, ...]:
-        """Evaluate and validate/clip the index tuple for ``ref``."""
-        idx: list[Value] = []
-        masked = self.mask is not None
-        for d, index_expr in enumerate(ref.indices):
-            val = self._eval(index_expr)
-            dim = shape[d + skip_axes]
-            if _is_vector(val):
-                ival = val.astype(np.int64) if val.dtype.kind == "f" else val
-                if masked:
-                    ival = np.clip(ival, 0, dim - 1)
-                else:
-                    lo, hi = int(ival.min(initial=0)), int(ival.max(initial=0))
-                    if lo < 0 or hi >= dim:
-                        raise ExecutionError(
-                            f"kernel {self.kernel.name!r}: index {lo}..{hi} "
-                            f"out of bounds for {ref.name!r} dim {d} "
-                            f"(extent {dim})")
-                idx.append(ival)
-            else:
-                ival = int(val)
-                if ival < 0 or ival >= dim:
-                    if masked:
-                        ival = min(max(ival, 0), dim - 1)
-                    else:
-                        raise ExecutionError(
-                            f"kernel {self.kernel.name!r}: index {ival} out "
-                            f"of bounds for {ref.name!r} dim {d} "
-                            f"(extent {dim})")
-                idx.append(ival)
-        return tuple(idx)
-
-    def _load(self, ref: ArrayRef) -> Value:
-        if ref.name in self.local_arrays:
-            arr = self.local_arrays[ref.name]
-            idx = self._indices(ref, arr.shape, skip_axes=1)
-            lane = np.arange(self.T, dtype=np.int64)
-            return arr[(lane,) + idx]
-        try:
-            arr = self.arrays[ref.name]
-        except KeyError:
-            raise ExecutionError(
-                f"kernel {self.kernel.name!r}: unknown array {ref.name!r}"
-            ) from None
-        if len(ref.indices) != arr.ndim:
-            raise ExecutionError(
-                f"kernel {self.kernel.name!r}: {ref.name!r} has {arr.ndim} "
-                f"dims, subscripted with {len(ref.indices)}")
-        idx = self._indices(ref, arr.shape)
-        return arr[idx]
-
-    def _store(self, ref: ArrayRef, value: Value, op: Optional[str]) -> None:
-        mask = self.mask
-        if ref.name in self.local_arrays:
-            arr = self.local_arrays[ref.name]
-            idx = self._indices(ref, arr.shape, skip_axes=1)
-            lane = np.arange(self.T, dtype=np.int64)
-            if mask is not None:
-                sel = mask
-                lane = lane[sel]
-                idx = tuple(i[sel] if _is_vector(i) else i for i in idx)
-                value = value[sel] if _is_vector(value) else value
-            full = (lane,) + idx
-            if op is None:
-                arr[full] = value
-            else:
-                # one store per lane: no collisions within a lane's row
-                _REDUCE_UFUNC[op].at(arr, full, value)
-            return
-
-        try:
-            arr = self.arrays[ref.name]
-        except KeyError:
-            raise ExecutionError(
-                f"kernel {self.kernel.name!r}: unknown array {ref.name!r}"
-            ) from None
-        if len(ref.indices) != arr.ndim:
-            raise ExecutionError(
-                f"kernel {self.kernel.name!r}: {ref.name!r} has {arr.ndim} "
-                f"dims, subscripted with {len(ref.indices)}")
-        idx = self._indices(ref, arr.shape)
-        vector_idx = any(_is_vector(i) for i in idx)
-        if op is not None and not _is_vector(value) and not vector_idx:
-            # reduction of a lane-invariant value onto one shared slot:
-            # every (active) lane contributes once (e.g. counting via
-            # ``delta[t] += 1``) — materialize per-lane values
-            value = np.broadcast_to(value, (self.T,))
-        if mask is not None and (vector_idx or _is_vector(value)):
-            sel = mask
-            idx = tuple(np.broadcast_to(i, (self.T,))[sel]
-                        if not _is_vector(i) else i[sel] for i in idx)
-            value = (np.broadcast_to(value, (self.T,))[sel]
-                     if not _is_vector(value) else value[sel])
-            vector_idx = any(_is_vector(i) for i in idx)
-        elif mask is not None and not mask.all():
-            # scalar address, plain store, partial mask: write only if
-            # any lane is active (shared-scalar store semantics)
-            if not mask.any():
-                return
-        if op is None:
-            arr[idx] = value
-            return
-        ufunc = _REDUCE_UFUNC[op]
-        if not vector_idx:
-            # single shared element updated by all lanes: fold first
-            folded = (_REDUCE_FOLD[op](value) if _is_vector(value) else value)
-            arr[idx] = ufunc(arr[idx], folded)
-            return
-        # element-wise update; collisions possible when the subscript is
-        # not injective in the lane index — detect and use ufunc.at.
-        flat = np.ravel_multi_index(
-            tuple(np.broadcast_arrays(*idx)), arr.shape) if len(idx) > 1 \
-            else np.asarray(idx[0])
-        if flat.size and np.unique(flat).size == flat.size:
-            arr[idx] = ufunc(arr[idx], value)
-        else:
-            ufunc.at(arr, idx, value)
 
     # -- statements -------------------------------------------------------
     def _exec(self, stmt: Stmt) -> None:
@@ -414,75 +208,48 @@ class KernelExecutor:
             raise ExecutionError(f"cannot execute statement {stmt!r}")
 
     def _exec_decl(self, stmt: LocalDecl) -> None:
-        dtype = np.int64 if stmt.dtype == "int" else (
-            np.float32 if stmt.dtype == "float" else np.float64)
         if stmt.shape:
-            self.local_arrays[stmt.name] = np.zeros((self.T,) + stmt.shape,
-                                                    dtype=dtype)
+            self.local_arrays[stmt.name] = sem.local_array(
+                stmt.shape, stmt.dtype, self.T)
             return
-        if stmt.init is not None:
-            init = self._eval(stmt.init)
-            if _is_vector(init):
-                self.env[stmt.name] = init.astype(dtype, copy=True)
-            else:
-                self.env[stmt.name] = np.full(self.T, init, dtype=dtype)
-        else:
-            self.env[stmt.name] = np.zeros(self.T, dtype=dtype)
+        init = self._eval(stmt.init) if stmt.init is not None else None
+        self.env[stmt.name] = sem.declare(init, stmt.dtype, self.T)
 
     def _exec_assign(self, stmt: Assign) -> None:
         value = self._eval(stmt.value)
-        if isinstance(stmt.target, ArrayRef):
-            self._store(stmt.target, value, stmt.op)
+        target = stmt.target
+        if isinstance(target, ArrayRef):
+            idx = [self._eval(i) for i in target.indices]
+            local = self.local_arrays.get(target.name)
+            if local is not None:
+                sem.store_local(local, idx, value, stmt.op, self.mask, self.T,
+                                target.name, self.kernel.name)
+            else:
+                sem.store(self.arrays, target.name, idx, value, stmt.op,
+                          self.mask, self.T, self.kernel.name, self.trace)
             return
-        name = stmt.target.name
-        mask = self.mask
-        old = self.env.get(name)
+        old = self.env.get(target.name, sem.UNBOUND)
         if stmt.op is not None:
-            if old is None:
-                raise ExecutionError(
-                    f"augmented assignment to unbound scalar {name!r}")
-            combined = self._apply_op(stmt.op, old, value)
-        else:
-            combined = value
-        if mask is None:
-            self.env[name] = combined
-            return
-        # masked scalar assignment: promote to a lane vector
-        if old is None:
-            old_vec = np.zeros(self.T, dtype=np.asarray(combined).dtype)
-        elif _is_vector(old):
-            old_vec = old
-        else:
-            old_vec = np.full(self.T, old)
-        self.env[name] = np.where(mask, combined, old_vec)
-
-    @staticmethod
-    def _apply_op(op: str, old: Value, value: Value) -> Value:
-        if op == "+":
-            return old + value
-        if op == "*":
-            return old * value
-        if op == "min":
-            return np.minimum(old, value)
-        if op == "max":
-            return np.maximum(old, value)
-        raise ExecutionError(f"unknown augmented op {op!r}")
+            value = sem.AUG_OPS[stmt.op](sem.aug_old(old, target.name), value)
+        mask = self.mask
+        self.env[target.name] = (value if mask is None else
+                                 sem.masked_scalar(mask, value, old, self.T))
 
     def _exec_for(self, stmt: For) -> None:
         lo = self._eval(stmt.lower)
         hi = self._eval(stmt.upper)
         step = self._eval(stmt.step)
-        if _is_vector(step):
+        if is_vector(step):
             raise ExecutionError("loop step must be thread-independent")
         step_i = int(step)
         if step_i <= 0:
             raise ExecutionError("loop step must be positive")
-        if not _is_vector(lo) and not _is_vector(hi):
+        if not is_vector(lo) and not is_vector(hi):
             for k in range(int(lo), int(hi), step_i):
                 self.env[stmt.var] = k
                 self._exec(stmt.body)
             return
-        self.data_dependent = True
+        self._data_dependent()
         lo_v = np.broadcast_to(np.asarray(lo), (self.T,))
         hi_v = np.broadcast_to(np.asarray(hi), (self.T,))
         start = int(lo_v.min(initial=0))
@@ -505,7 +272,7 @@ class KernelExecutor:
         limit = 10_000_000
         while True:
             cond = self._eval(stmt.cond)
-            if not _is_vector(cond):
+            if not is_vector(cond):
                 if not cond:
                     return
                 self._exec(stmt.body)
@@ -514,7 +281,7 @@ class KernelExecutor:
                 alive = cond if base is None else (cond & base)
                 if not alive.any():
                     return
-                self.data_dependent = True
+                self._data_dependent()
                 self._push_mask(cond.astype(bool))
                 try:
                     self._exec(stmt.body)
@@ -526,7 +293,7 @@ class KernelExecutor:
 
     def _exec_if(self, stmt: If) -> None:
         cond = self._eval(stmt.cond)
-        if not _is_vector(cond):
+        if not is_vector(cond):
             if cond:
                 self._exec(stmt.then_body)
             elif stmt.else_body is not None:

@@ -1,29 +1,27 @@
 """JIT tier: lower kernel bodies to generated Python over whole-array numpy.
 
 The vectorizing interpreter (:mod:`repro.gpusim.executor`) walks the IR
-statement-by-statement on every launch — ROADMAP open item 3 names that
-walk the single biggest wall-clock cost of every sweep, tune run, and CI
-gate.  This module removes the walk: a kernel body is lowered *once* to
-generated Python source whose runtime is the same whole-array numpy the
-interpreter uses, compiled with :func:`compile`, and cached in the shared
-content-addressed :class:`~repro.models.cache.ArtifactStore` keyed by the
-kernel's IR hash.  Every subsequent launch of any kernel with the same
-body (across benchmarks, models, and variants — the store key composes
-with the compile cache's ``(bench, model, variant, config_hash)`` keying
+statement-by-statement on every launch.  This module removes the walk:
+a kernel body is lowered *once* to generated Python source, compiled
+with :func:`compile`, and cached in the shared content-addressed
+:class:`~repro.models.cache.ArtifactStore` keyed by the kernel's IR
+hash.  Every subsequent launch of any kernel with the same body (across
+benchmarks, models, and variants — the store key composes with the
+compile cache's ``(bench, model, variant, config_hash)`` keying
 upstream) runs the compiled function directly.
 
 Correctness contract
 --------------------
 
-The generated code **mirrors the interpreter's exact numpy operation
-sequence**: the same ``np.true_divide``/``np.mod``/``np.minimum`` calls
-in the same evaluation order, the same mask-combine expressions, the
-same duplicate-safe ``ufunc.at`` store discipline (the memory helpers
-below are the interpreter's ``_indices``/``_load``/``_store`` refactored
-to take pre-evaluated operands).  Results are therefore *bitwise*
-identical, not merely close — the differential harness in
-``tests/test_jit_differential.py`` and the ``JIT_MODE=verify`` knob
-assert exactly that on every launch.
+The generated code *shares* the interpreter's semantics rather than
+copying it: every load, store, cast, masked scalar promotion and
+unbound-name check is a call into :mod:`repro.gpusim.semantics`, and
+every operator is spelled from that module's tables.  What the codegen
+owns is the control-flow lowering — the evaluation order and the
+mask-combine expressions of the interpreter's walk.  Results are
+therefore *bitwise* identical, not merely close; the differential
+harness in ``tests/test_jit_differential.py`` and ``REPRO_JIT=verify``
+check the lowering on every launch.
 
 Dispatch (see :func:`repro.gpusim.executor.execute_kernel`):
 
@@ -53,8 +51,8 @@ notes by ``repro-harness selfprof``).  Reasons:
 ``call-arity``            argument/parameter count mismatch
 ``array-arg-not-name``    array argument that is not a plain name
 ``local-shadows-global``  a thread-local array shadowing a device array
-``unknown-intrinsic``     math intrinsic the executor does not define
 ``unsupported-*``         any IR node kind the codegen does not know
+``code-size``             generated source over ``_MAX_LINES`` lines
 ``vector-scalar-arg``     a launch passed a vector where a scalar
                           parameter was expected (dynamic, per launch)
 ``codegen-error``         defensive catch-all: generated source failed
@@ -65,6 +63,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 import os
 import threading
 import time
@@ -75,8 +75,7 @@ from typing import Callable, Iterator, Mapping, MutableMapping, Optional
 import numpy as np
 
 from repro.errors import ExecutionError, LaunchError
-from repro.gpusim.executor import (_INTRINSIC_FUNCS, _REDUCE_FOLD,
-                                   _REDUCE_UFUNC, _is_vector)
+from repro.gpusim import semantics as sem
 from repro.gpusim.kernel import Kernel
 from repro.ir.expr import (ArrayRef, BinOp, Call, Cast, Const, Expr,
                            Ternary, UnOp, Var)
@@ -92,8 +91,6 @@ __all__ = [
 ]
 
 JIT_MODES = ("on", "off", "verify")
-
-_UNBOUND = object()   # sentinel: a name referenced but never bound
 
 
 class JitUnsupported(Exception):
@@ -520,259 +517,33 @@ class _Kinds:
 
 
 # ---------------------------------------------------------------------------
-# Runtime helpers (the interpreter's memory ops over evaluated operands)
+# Runtime: the semantics core, plus operator spellings derived from its tables
 # ---------------------------------------------------------------------------
 
-def _chk(v, name: str, kname: str):
-    if v is _UNBOUND:
-        raise ExecutionError(
-            f"kernel {kname!r}: unbound variable {name!r}")
-    return v
-
-
-def _scalar_int(v, what: str) -> int:
-    if _is_vector(v):
-        raise LaunchError(f"{what} must be thread-independent")
-    return int(v)
-
-
-def _norm_idx(vals, shape, skip, masked, name, kname):
-    """Mirror of ``KernelExecutor._indices`` over evaluated index values:
-    clip when masked, bounds-check (and raise) otherwise."""
-    idx = []
-    for d, val in enumerate(vals):
-        dim = shape[d + skip]
-        if _is_vector(val):
-            ival = val.astype(np.int64) if val.dtype.kind == "f" else val
-            if masked:
-                ival = np.clip(ival, 0, dim - 1)
-            else:
-                lo, hi = int(ival.min(initial=0)), int(ival.max(initial=0))
-                if lo < 0 or hi >= dim:
-                    raise ExecutionError(
-                        f"kernel {kname!r}: index {lo}..{hi} "
-                        f"out of bounds for {name!r} dim {d} "
-                        f"(extent {dim})")
-            idx.append(ival)
-        else:
-            ival = int(val)
-            if ival < 0 or ival >= dim:
-                if masked:
-                    ival = min(max(ival, 0), dim - 1)
-                else:
-                    raise ExecutionError(
-                        f"kernel {kname!r}: index {ival} out "
-                        f"of bounds for {name!r} dim {d} "
-                        f"(extent {dim})")
-            idx.append(ival)
-    return tuple(idx)
-
-
-def _getarr(arrays, name, kname):
-    try:
-        return arrays[name]
-    except KeyError:
-        raise ExecutionError(
-            f"kernel {kname!r}: unknown array {name!r}") from None
-
-
-def _ndim_chk(arr, name, n, kname):
-    if arr.ndim != n:
-        raise ExecutionError(
-            f"kernel {kname!r}: {name!r} has {arr.ndim} "
-            f"dims, subscripted with {n}")
-
-
-def _vec_idx(val, dim, masked, d, name, kname):
-    """One statically-vector index, normalized exactly as the
-    interpreter's ``_indices`` does (clip when masked, check else)."""
-    if val.dtype.kind == "f":
-        val = val.astype(np.int64)
-    if masked:
-        return np.clip(val, 0, dim - 1)
-    lo, hi = int(val.min(initial=0)), int(val.max(initial=0))
-    if lo < 0 or hi >= dim:
-        raise ExecutionError(
-            f"kernel {kname!r}: index {lo}..{hi} "
-            f"out of bounds for {name!r} dim {d} "
-            f"(extent {dim})")
-    return val
-
-
-def _load1v(arrays, name, i0, mask, kname):
-    """Fast path: 1-D global load, statically-vector index."""
-    arr = _getarr(arrays, name, kname)
-    _ndim_chk(arr, name, 1, kname)
-    return arr[_vec_idx(i0, arr.shape[0], mask is not None, 0, name, kname)]
-
-
-def _store1v(arrays, name, i0, value, mask, T, kname):
-    """Fast path: 1-D global plain store, statically-vector index."""
-    arr = _getarr(arrays, name, kname)
-    _ndim_chk(arr, name, 1, kname)
-    i0 = _vec_idx(i0, arr.shape[0], mask is not None, 0, name, kname)
-    if mask is not None:
-        sel = mask
-        i0 = i0[sel]
-        value = (np.broadcast_to(value, (T,))[sel]
-                 if not _is_vector(value) else value[sel])
-    arr[i0] = value
-
-
-def _store1v_red(arrays, name, i0, value, op, mask, T, kname):
-    """Fast path: 1-D global reduction store, statically-vector index."""
-    arr = _getarr(arrays, name, kname)
-    _ndim_chk(arr, name, 1, kname)
-    i0 = _vec_idx(i0, arr.shape[0], mask is not None, 0, name, kname)
-    if not _is_vector(value):
-        value = np.broadcast_to(value, (T,))
-    if mask is not None:
-        sel = mask
-        i0 = i0[sel]
-        value = value[sel]
-    ufunc = _REDUCE_UFUNC[op]
-    flat = np.asarray(i0)
-    if flat.size and np.unique(flat).size == flat.size:
-        arr[i0] = ufunc(arr[i0], value)
-    else:
-        ufunc.at(arr, i0, value)
-
-
-def _load(arrays, name, idx_vals, mask, kname):
-    arr = _getarr(arrays, name, kname)
-    if len(idx_vals) != arr.ndim:
-        raise ExecutionError(
-            f"kernel {kname!r}: {name!r} has {arr.ndim} "
-            f"dims, subscripted with {len(idx_vals)}")
-    idx = _norm_idx(idx_vals, arr.shape, 0, mask is not None, name, kname)
-    return arr[idx]
-
-
-def _load_local(arr, idx_vals, mask, T, name, kname):
-    idx = _norm_idx(idx_vals, arr.shape, 1, mask is not None, name, kname)
-    lane = np.arange(T, dtype=np.int64)
-    return arr[(lane,) + idx]
-
-
-def _store(arrays, name, idx_vals, value, op, mask, T, kname):
-    """Mirror of ``KernelExecutor._store`` (global-array path)."""
-    arr = _getarr(arrays, name, kname)
-    if len(idx_vals) != arr.ndim:
-        raise ExecutionError(
-            f"kernel {kname!r}: {name!r} has {arr.ndim} "
-            f"dims, subscripted with {len(idx_vals)}")
-    idx = _norm_idx(idx_vals, arr.shape, 0, mask is not None, name, kname)
-    vector_idx = any(_is_vector(i) for i in idx)
-    if op is not None and not _is_vector(value) and not vector_idx:
-        value = np.broadcast_to(value, (T,))
-    if mask is not None and (vector_idx or _is_vector(value)):
-        sel = mask
-        idx = tuple(np.broadcast_to(i, (T,))[sel]
-                    if not _is_vector(i) else i[sel] for i in idx)
-        value = (np.broadcast_to(value, (T,))[sel]
-                 if not _is_vector(value) else value[sel])
-        vector_idx = any(_is_vector(i) for i in idx)
-    elif mask is not None and not mask.all():
-        if not mask.any():
-            return
-    if op is None:
-        arr[idx] = value
-        return
-    ufunc = _REDUCE_UFUNC[op]
-    if not vector_idx:
-        folded = (_REDUCE_FOLD[op](value) if _is_vector(value) else value)
-        arr[idx] = ufunc(arr[idx], folded)
-        return
-    flat = np.ravel_multi_index(
-        tuple(np.broadcast_arrays(*idx)), arr.shape) if len(idx) > 1 \
-        else np.asarray(idx[0])
-    if flat.size and np.unique(flat).size == flat.size:
-        arr[idx] = ufunc(arr[idx], value)
-    else:
-        ufunc.at(arr, idx, value)
-
-
-def _store_local(arr, idx_vals, value, op, mask, T, name, kname):
-    """Mirror of ``KernelExecutor._store`` (local-array path)."""
-    idx = _norm_idx(idx_vals, arr.shape, 1, mask is not None, name, kname)
-    lane = np.arange(T, dtype=np.int64)
-    if mask is not None:
-        sel = mask
-        lane = lane[sel]
-        idx = tuple(i[sel] if _is_vector(i) else i for i in idx)
-        value = value[sel] if _is_vector(value) else value
-    full = (lane,) + idx
-    if op is None:
-        arr[full] = value
-    else:
-        _REDUCE_UFUNC[op].at(arr, full, value)
-
-
-def _masked_scalar(mask, combined, old, T):
-    """Mirror of the interpreter's masked scalar-assignment promotion."""
-    if old is None or old is _UNBOUND:
-        old_vec = np.zeros(T, dtype=np.asarray(combined).dtype)
-    elif _is_vector(old):
-        old_vec = old
-    else:
-        old_vec = np.full(T, old)
-    return np.where(mask, combined, old_vec)
-
-
-def _aug_old(v, name, kname):
-    if v is _UNBOUND:
-        raise ExecutionError(
-            f"augmented assignment to unbound scalar {name!r}")
-    return v
-
-
-def _cast_int(v):
-    if _is_vector(v):
-        if v.dtype.kind == "f":
-            with np.errstate(invalid="ignore"):
-                safe = np.nan_to_num(v, nan=0.0, posinf=0.0, neginf=0.0)
-                return np.trunc(safe).astype(np.int64)
-        return v.astype(np.int64)
-    return int(v)
-
-
-def _cast_float(v, target):
-    if _is_vector(v):
-        return v.astype(target)
-    return float(v)
-
-
-#: globals injected into every generated module
+#: globals injected into every generated module; each core function is
+#: bound under its name with a leading underscore
 _RUNTIME_GLOBALS = {
-    "np": np, "math": __import__("math"),
+    "np": np, "math": math,
     "ExecutionError": ExecutionError, "LaunchError": LaunchError,
-    "_UB": _UNBOUND, "_chk": _chk, "_scalar_int": _scalar_int,
-    "_is_vector": _is_vector, "_load": _load, "_load_local": _load_local,
-    "_store": _store, "_store_local": _store_local,
-    "_load1v": _load1v, "_store1v": _store1v, "_store1v_red": _store1v_red,
-    "_masked_scalar": _masked_scalar, "_aug_old": _aug_old,
-    "_cast_int": _cast_int, "_cast_float": _cast_float,
-    "_intr": _INTRINSIC_FUNCS,
+    "_UB": sem.UNBOUND, "_intr": sem.INTRINSIC_FUNCS,
+    **{f"_{name}": getattr(sem, name) for name in (
+        "check_bound", "aug_old", "scalar_int", "is_vector", "cast",
+        "declare", "local_array", "masked_scalar", "load", "load_local",
+        "store", "store_local", "load1v", "store1v", "store1v_red")},
 }
 
-_BINOP_FMT = {
-    "+": "({l} + {r})", "-": "({l} - {r})", "*": "({l} * {r})",
-    "/": "np.true_divide({l}, {r})", "//": "np.floor_divide({l}, {r})",
-    "%": "np.mod({l}, {r})",
-    "min": "np.minimum({l}, {r})", "max": "np.maximum({l}, {r})",
-    "<": "np.less({l}, {r})", "<=": "np.less_equal({l}, {r})",
-    ">": "np.greater({l}, {r})", ">=": "np.greater_equal({l}, {r})",
-    "==": "np.equal({l}, {r})", "!=": "np.not_equal({l}, {r})",
-    "&&": "np.logical_and({l}, {r})", "||": "np.logical_or({l}, {r})",
-    "&": "np.bitwise_and({l}, {r})", "|": "np.bitwise_or({l}, {r})",
-    "^": "np.bitwise_xor({l}, {r})",
-    "<<": "np.left_shift({l}, {r})", ">>": "np.right_shift({l}, {r})",
-}
+#: the core's Python operators keep their infix spelling; every other
+#: table entry is the numpy function of the same name
+_INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*",
+          operator.neg: "-"}
 
-_AUG_FMT = {"+": "({l} + {r})", "*": "({l} * {r})",
-            "min": "np.minimum({l}, {r})", "max": "np.maximum({l}, {r})"}
-
-_NPDTYPE = {"int": "np.int64", "float": "np.float32", "double": "np.float64"}
+_BINOP_FMT = {op: f"({{l}} {_INFIX[fn]} {{r}})" if fn in _INFIX
+              else f"np.{fn.__name__}({{l}}, {{r}})"
+              for op, fn in sem.BINOPS.items()}
+_AUG_FMT = {op: _BINOP_FMT[op] for op in sem.AUG_OPS}
+_UNOP_FMT = {op: f"({_INFIX[fn]}{{x}})" if fn in _INFIX
+             else f"np.{fn.__name__}({{x}})"
+             for op, fn in sem.UNOPS.items()}
 
 #: generated sources beyond this many lines fall back (deep dynamic-loop
 #: nests duplicate bodies; unbounded growth would be a compile-time DoS)
@@ -860,7 +631,7 @@ class _Codegen:
         self.env_names.add(name)
         if self.is_bound(name):
             return f"v_{name}"
-        return f"_chk(v_{name}, {name!r}, kname)"
+        return f"_check_bound(v_{name}, {name!r}, kname)"
 
     def combine_mask(self, mask: str, cond: str) -> str:
         """``_push_mask`` mirror: combine a (bool) condition with the
@@ -876,34 +647,18 @@ class _Codegen:
         if isinstance(e, Var):
             return self.ref(e.name)
         if isinstance(e, BinOp):
-            fmt = _BINOP_FMT.get(e.op)
-            if fmt is None:
-                raise JitUnsupported("unsupported-binop", e.op)
             left = self.expr(e.left, mask)
             right = self.expr(e.right, mask)
-            return fmt.format(l=left, r=right)
+            return _BINOP_FMT[e.op].format(l=left, r=right)
         if isinstance(e, UnOp):
-            operand = self.expr(e.operand, mask)
-            if e.op == "-":
-                return f"(-{operand})"
-            if e.op == "!":
-                return f"np.logical_not({operand})"
-            if e.op == "~":
-                return f"(~np.asarray({operand}))"
-            raise JitUnsupported("unsupported-unop", e.op)
+            return _UNOP_FMT[e.op].format(x=self.expr(e.operand, mask))
         if isinstance(e, Call):
-            if e.func not in _INTRINSIC_FUNCS:
-                raise JitUnsupported("unknown-intrinsic", e.func)
             args = ", ".join(self.expr(a, mask) for a in e.args)
             return f"_intr[{e.func!r}]({args})"
         if isinstance(e, Ternary):
             return self._ternary(e, mask)
         if isinstance(e, Cast):
-            operand = self.expr(e.operand, mask)
-            if e.dtype == "int":
-                return f"_cast_int({operand})"
-            target = "np.float32" if e.dtype == "float" else "np.float64"
-            return f"_cast_float({operand}, {target})"
+            return f"_cast({self.expr(e.operand, mask)}, {e.dtype!r})"
         if isinstance(e, ArrayRef):
             if e.name in self.local_arrays:
                 idx = ", ".join(self.expr(i, mask) for i in e.indices)
@@ -914,7 +669,7 @@ class _Codegen:
                 i0 = self.expr(e.indices[0], mask)
                 return f"_load1v(arrays, {e.name!r}, {i0}, {mask}, kname)"
             idx = ", ".join(self.expr(i, mask) for i in e.indices)
-            return f"_load(arrays, {e.name!r}, ({idx},), {mask}, kname)"
+            return f"_load(arrays, {e.name!r}, ({idx},), {mask}, T, kname)"
         raise JitUnsupported("unsupported-expr", repr(e))
 
     def _ternary(self, e: Ternary, mask: str) -> str:
@@ -1016,7 +771,7 @@ class _Codegen:
         target = f"v_{name}"
         if s.op is not None:
             old = target if self.is_bound(name) \
-                else f"_aug_old(v_{name}, {name!r}, kname)"
+                else f"_aug_old(v_{name}, {name!r})"
             combined = self.fresh()
             self.emit(f"{combined} = "
                       + _AUG_FMT[s.op].format(l=old, r=value))
@@ -1034,20 +789,16 @@ class _Codegen:
         self.bind(name)
 
     def _decl(self, s: LocalDecl, mask: str) -> None:
-        dt = _NPDTYPE.get(s.dtype, "np.float64")
         if s.shape:
-            self.emit(f"la_{s.name} = np.zeros((T,) + {s.shape!r}, "
-                      f"dtype={dt})")
+            self.emit(f"la_{s.name} = _local_array({s.shape!r}, "
+                      f"{s.dtype!r}, T)")
             return
         self.env_names.add(s.name)
+        init = "None"
         if s.init is not None:
             init = self.fresh()
             self.emit(f"{init} = {self.expr(s.init, mask)}")
-            self.emit(f"v_{s.name} = {init}.astype({dt}, copy=True) "
-                      f"if _is_vector({init}) else "
-                      f"np.full(T, {init}, dtype={dt})")
-        else:
-            self.emit(f"v_{s.name} = np.zeros(T, dtype={dt})")
+        self.emit(f"v_{s.name} = _declare({init}, {s.dtype!r}, T)")
         self.bind(s.name)
 
     def _for(self, s: For, mask: str) -> None:
@@ -1297,7 +1048,7 @@ def program_for(kernel: Kernel, scalars: Mapping,
     from repro.obs import metrics as obs_metrics
     from repro.obs import tracer as obs
 
-    if any(_is_vector(v) for v in scalars.values()):
+    if any(sem.is_vector(v) for v in scalars.values()):
         _count_fallback(kernel.name, "vector-scalar-arg")
         return None
     ir_hash = kernel_ir_hash(kernel, functions)

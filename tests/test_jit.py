@@ -301,6 +301,37 @@ class TestErrorFidelity:
         assert_same_result(kern, {"b": np.zeros(4)},
                            engines=("interpreter", "jit"))
 
+    def _memory_fault(self, load, arrays):
+        """``b[i] = load`` over four lanes, lowered by the JIT (so the
+        two messages really come from two engines)."""
+        body = pfor("i", 0, 4, assign(aref("b", v("i")), load))
+        kern = make_kernel(body, ["i"], {name: None for name in arrays})
+        jit.compile_kernel(kern)
+        interp, jitted = self._both_errors(kern, arrays)
+        assert interp == jitted
+        return interp
+
+    def test_scalar_subscript_out_of_bounds_message_matches(self):
+        msg = self._memory_fault(aref("a", 5),
+                                 {"a": np.zeros(4), "b": np.zeros(4)})
+        assert msg == ("kernel 'k': index 5 out of bounds for 'a' dim 0 "
+                       "(extent 4)")
+
+    def test_vector_subscript_out_of_bounds_message_matches(self):
+        msg = self._memory_fault(aref("a", v("i") + 1),
+                                 {"a": np.zeros(4), "b": np.zeros(4)})
+        assert msg.startswith("kernel 'k': index ")
+        assert msg.endswith("..4 out of bounds for 'a' dim 0 (extent 4)")
+
+    def test_too_few_subscripts_message_matches(self):
+        msg = self._memory_fault(aref("a", v("i")),
+                                 {"a": np.zeros((4, 4)), "b": np.zeros(4)})
+        assert msg == "kernel 'k': 'a' has 2 dims, subscripted with 1"
+
+    def test_missing_array_message_matches(self):
+        msg = self._memory_fault(aref("c", v("i")), {"b": np.zeros(4)})
+        assert msg == "kernel 'k': unknown array 'c'"
+
 
 class TestDirectedKernels:
     """Directed shapes through all three engines (bitwise jit vs

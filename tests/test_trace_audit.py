@@ -6,8 +6,8 @@ import pytest
 
 from repro.benchmarks.registry import get_benchmark
 from repro.gpusim.kernel import Kernel
-from repro.gpusim.trace import (MemoryTrace, TracingExecutor, audit_kernel,
-                                render_audit)
+from repro.gpusim.executor import KernelExecutor
+from repro.gpusim.trace import MemoryTrace, audit_kernel, render_audit
 from repro.ir.builder import accum, aref, assign, pfor, sfor, v
 
 
@@ -22,7 +22,7 @@ class TestTracing:
                             assign(aref("b", v("i")), aref("a", v("i")))),
                        ["i"], ["a", "b"])
         data = {"a": np.arange(64.0), "b": np.zeros(64)}
-        ex = TracingExecutor(kern, data, {})
+        ex = KernelExecutor(kern, data, {}, trace=MemoryTrace())
         ex.run()
         assert ex.trace.arrays() == {"a", "b"}
         loads = [e for e in ex.trace.events if not e.is_store]
@@ -35,7 +35,8 @@ class TestTracing:
     def test_coalesced_measures_two_txns_for_doubles(self):
         kern = _kernel(pfor("i", 0, 256,
                             assign(aref("b", v("i")), 1.0)), ["i"], ["b"])
-        ex = TracingExecutor(kern, {"b": np.zeros(256)}, {})
+        ex = KernelExecutor(kern, {"b": np.zeros(256)}, {},
+                            trace=MemoryTrace())
         ex.run()
         assert ex.trace.transactions("b", 8) == pytest.approx(2.0)
 
@@ -44,14 +45,15 @@ class TestTracing:
         kern = _kernel(pfor("i", 0, 128,
                             assign(aref("b", v("i") * 32), 1.0)),
                        ["i"], ["b"])
-        ex = TracingExecutor(kern, {"b": np.zeros(128 * 32)}, {})
+        ex = KernelExecutor(kern, {"b": np.zeros(128 * 32)}, {},
+                            trace=MemoryTrace())
         ex.run()
         assert ex.trace.transactions("b", 8) == pytest.approx(32.0)
 
     def test_uniform_measures_one(self):
         kern = _kernel(pfor("i", 0, 64, accum(aref("s", 0), 1.0)),
                        ["i"], ["s"])
-        ex = TracingExecutor(kern, {"s": np.zeros(1)}, {})
+        ex = KernelExecutor(kern, {"s": np.zeros(1)}, {}, trace=MemoryTrace())
         ex.run()
         assert ex.trace.transactions("s", 8) == pytest.approx(1.0)
 
@@ -62,7 +64,7 @@ class TestTracing:
                             iff(v("i").lt(2),
                                 assign(aref("b", v("i")), 1.0))),
                        ["i"], ["b"])
-        ex = TracingExecutor(kern, {"b": np.zeros(64)}, {})
+        ex = KernelExecutor(kern, {"b": np.zeros(64)}, {}, trace=MemoryTrace())
         ex.run()
         stores = [e for e in ex.trace.events if e.is_store]
         assert stores[0].lanes.size == 2

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.gpusim.device import TESLA_M2090
-from repro.gpusim.trace import MemoryTrace, TracingExecutor
+from repro.gpusim.executor import KernelExecutor
+from repro.gpusim.trace import MemoryTrace
 
 
 def reference_transactions(trace, array, elem_bytes, spec=TESLA_M2090,
@@ -91,7 +92,8 @@ class TestEquivalence:
         result = next(r for r in compiled.results.values() if r.translated)
         kernel = result.kernels[0]
         arrays = {k: np.array(v, copy=True) for k, v in wl.arrays.items()}
-        ex = TracingExecutor(kernel, arrays, dict(wl.scalars))
+        ex = KernelExecutor(kernel, arrays, dict(wl.scalars),
+                            trace=MemoryTrace())
         ex.run()
         trace = ex.trace
         assert trace.events, "tracing produced no events"
